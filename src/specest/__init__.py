@@ -30,7 +30,6 @@ from .moments import (
     ResourceLimitError,
     brute_force_increasing,
     empirical_moment,
-    estimate_moment,
     estimate_moments,
     monte_carlo_variance,
     trial_seed,
@@ -87,7 +86,6 @@ __all__ = [
     "empirical_moment",
     "empirical_spectrum",
     "entry_distribution",
-    "estimate_moment",
     "estimate_moments",
     "estimate_spectrum",
     "factor",

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chebyshev import chebyshev_construction, moments_of, root_weight_bounds_check
-from .linalg import empirical_spectrum, load_matrix_csv
+from .linalg import NonFiniteError, empirical_spectrum, load_matrix_csv
 from .moments import trial_seed
 from .recovery import (
     RecoveryConfig,
@@ -92,7 +92,6 @@ def write_cdf_csv(path: str, xs: np.ndarray, cdf: np.ndarray) -> None:
         writer.writerow(["x", "cdf"])
         for x, f in zip(xs, cdf):
             writer.writerow([repr(float(x)), repr(float(f))])
-    validate_cdf_file(path)
 
 
 def validate_cdf_file(path: str) -> None:
@@ -159,13 +158,10 @@ def run_experiment(spec: ExperimentSpec) -> tuple[list[TrialResult], list[str]]:
                 )
                 continue
             trials = range(spec.trials)
-            if workers == 1:
-                outcomes = [_run_trial_safe(spec, s, true_vec, b, d, n, t) for t in trials]
-            else:
-                with ThreadPoolExecutor(max_workers=workers) as pool:
-                    outcomes = list(
-                        pool.map(lambda t: _run_trial_safe(spec, s, true_vec, b, d, n, t), trials)
-                    )
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                outcomes = list(
+                    pool.map(lambda t: _run_trial_safe(spec, s, true_vec, b, d, n, t), trials)
+                )
             for t, outcome in zip(trials, outcomes):
                 if isinstance(outcome, TrialResult):
                     results.append(outcome)
@@ -310,21 +306,23 @@ def cmd_estimate(args) -> int:
             f"error: k_max={args.k} exceeds the sample count n={n}", file=sys.stderr
         )
         return 2
-    if args.b is not None:
-        b = args.b
-    else:
-        b = default_eigenvalue_bound(y)
-        print(
-            f"note: using heuristic eigenvalue bound b={b!r} "
-            "(2x top empirical eigenvalue); pass --b for a guaranteed bound",
-            file=sys.stderr,
-        )
+    # The loader rejects non-finite fields, so a NonFiniteError below means
+    # the gram of finite input overflowed: an input error as well.
     try:
+        if args.b is not None:
+            b = args.b
+        else:
+            b = default_eigenvalue_bound(y)
+            print(
+                f"note: using heuristic eigenvalue bound b={b!r} "
+                "(2x top empirical eigenvalue); pass --b for a guaranteed bound",
+                file=sys.stderr,
+            )
         cfg = RecoveryConfig(
             b=b, k_max=args.k, mesh_cap=args.mesh_cap, weight_scheme=args.weights
         )
         spectrum = estimate_spectrum(y, cfg)
-    except ValueError as exc:
+    except (ValueError, NonFiniteError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     lines = "".join(f"{repr(float(v))}\n" for v in spectrum)

@@ -7,6 +7,8 @@ are the right tool.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = [
@@ -93,23 +95,21 @@ def empirical_spectrum(y) -> np.ndarray:
     """
     arr = _as_matrix(y, "data matrix")
     n, d = arr.shape
-    if n <= d:
-        vals = sym_eigenvalues(gram(arr)) / n
-    else:
-        vals = sym_eigenvalues(gram(arr.T)) / n
-    vals = np.clip(vals, 0.0, None)
+    # gram has checked finiteness and made its result exactly symmetric.
+    # eigvalsh returns ascending values; clipping and zero-padding at the
+    # front keep them ascending.
+    vals = np.clip(np.linalg.eigvalsh(gram(arr if n <= d else arr.T)) / n, 0.0, None)
     if n < d:
         vals = np.concatenate([np.zeros(d - n), vals])
-    elif n > d:
-        pass  # gram(arr.T) is already d x d
-    return np.sort(vals)
+    return vals
 
 
 def load_matrix_csv(path) -> np.ndarray:
     """Load a sample matrix from CSV: one sample per line, no header.
 
-    Raises ValueError naming the offending 1-based line on ragged rows
-    or unparseable fields.
+    Raises ValueError naming the offending 1-based line on ragged rows,
+    unparseable fields or non-finite values (nan, inf, or a literal
+    that overflows, such as 1e999).
     """
     rows: list[list[float]] = []
     width: int | None = None
@@ -123,6 +123,8 @@ def load_matrix_csv(path) -> np.ndarray:
                 row = [float(f) for f in fields]
             except ValueError as exc:
                 raise ValueError(f"line {lineno}: unparseable value ({exc})") from None
+            if not all(map(math.isfinite, row)):
+                raise ValueError(f"line {lineno}: non-finite value")
             if width is None:
                 width = len(row)
             elif len(row) != width:

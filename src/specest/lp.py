@@ -31,14 +31,13 @@ class WeightedL1Problem:
     """Mesh, targets and weights for one weighted L1 moment fit.
 
     ``moment_matrix`` holds the mesh powers, row i being mesh**(i+1);
-    it is built from the mesh when not supplied and validated against
-    it when it is.
+    it is built from the mesh.
     """
 
     mesh: np.ndarray
     target: np.ndarray
     weights: np.ndarray
-    moment_matrix: np.ndarray | None = field(default=None)
+    moment_matrix: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         mesh = np.asarray(self.mesh, dtype=float)
@@ -59,19 +58,7 @@ class WeightedL1Problem:
             raise ValueError("weights must match target in shape")
         if not np.isfinite(weights).all() or (weights <= 0).any():
             raise ValueError("weights must be finite and strictly positive")
-        v = np.asarray(self.moment_matrix, dtype=float) if self.moment_matrix is not None else None
-        powers = _mesh_powers(mesh, target.size)
-        if v is None:
-            v = powers
-        else:
-            if v.shape != (target.size, mesh.size):
-                raise ValueError(
-                    f"moment matrix shape {v.shape} does not match "
-                    f"(k={target.size}, t={mesh.size})"
-                )
-            if not np.allclose(v, powers, rtol=1e-9, atol=1e-12):
-                raise ValueError("moment matrix rows must be successive mesh powers")
-        object.__setattr__(self, "moment_matrix", v)
+        object.__setattr__(self, "moment_matrix", _mesh_powers(mesh, target.size))
 
     @property
     def k(self) -> int:
@@ -150,12 +137,15 @@ def solve(problem: WeightedL1Problem, *, max_iterations: int | None = None) -> S
     best_obj = np.inf
     status = "iteration-limit"
     iterations = 0
-    xb = np.zeros(m)
 
-    while iterations < max_iterations:
+    while True:
         b_mat = a[:, basis]
         try:
             xb = np.linalg.solve(b_mat, rhs)
+            # Stop only after solving, so the masses below always come
+            # from the final basis, also when the limit cuts the solve.
+            if iterations >= max_iterations:
+                break
             y = np.linalg.solve(b_mat.T, cost[basis])
         except np.linalg.LinAlgError as exc:
             raise ArithmeticError(f"simplex basis became singular: {exc}") from exc

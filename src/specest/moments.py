@@ -33,7 +33,6 @@ __all__ = [
     "MonteCarloStats",
     "binomial",
     "trial_seed",
-    "estimate_moment",
     "estimate_moments",
     "empirical_moment",
     "brute_force_increasing",
@@ -119,35 +118,6 @@ def _validate_k(n: int, k: int) -> None:
         raise ValueError(f"moment order k={k} exceeds sample count n={n}")
 
 
-def estimate_moment(y, k: int) -> float:
-    """Unbiased estimate of the k-th spectral moment from samples.
-
-    Parameters
-    ----------
-    y : ndarray of shape (n, d)
-        Sample matrix, one observation per row.
-    k : int
-        Moment order, 1 <= k <= n.
-
-    Returns
-    -------
-    float
-        tr(G^(k-1) A) / (d * C(n, k)) where A is the gram matrix of the
-        rows of y and G its strict upper triangle. Equals the average of
-        the cycle products over all increasing k-tuples, divided by d.
-
-    Raises
-    ------
-    ValueError
-        If k < 1 or k > n.
-    """
-    y = np.asarray(y, dtype=float)
-    a = gram(y)
-    n, d = y.shape
-    _validate_k(n, k)
-    return float(_cycle_traces(a, k)[k - 1] / (d * binomial(n, k)))
-
-
 def estimate_moments(y, k_max: int, b: float = 1.0) -> MomentEstimate:
     """Estimate spectral moments 1..k_max of the b-rescaled covariance.
 
@@ -193,7 +163,7 @@ def empirical_moment(y, k: int) -> float:
     n, d = y.shape
     _validate_k(n, k)
     if k == 1:
-        # Same arithmetic as estimate_moment(y, 1): tr(Y^T Y) = tr(Y Y^T).
+        # Same arithmetic as estimate_moments(y, 1): tr(Y^T Y) = tr(Y Y^T).
         return float(np.trace(gram(y)) / (d * binomial(n, 1)))
     small = gram(y) if n <= d else gram(y.T)
     vals = np.clip(np.linalg.eigvalsh(small), 0.0, None) / n
@@ -243,7 +213,7 @@ def monte_carlo_variance(
     seed: int,
     entry="gaussian",
 ) -> MonteCarloStats:
-    """Mean and sample variance of estimate_moment over fresh data draws.
+    """Mean and sample variance of the k-th moment estimate over fresh data draws.
 
     Trial i draws its data with seed ``trial_seed(seed, i)``, so runs
     are reproducible and trials could be farmed out independently.
@@ -260,5 +230,5 @@ def monte_carlo_variance(
     for i in range(trials):
         rng = np.random.default_rng(trial_seed(seed, i))
         y = dist.draw(rng, n, model.d) @ s
-        vals[i] = estimate_moment(y, k)
+        vals[i] = estimate_moments(y, k).values[k - 1]
     return MonteCarloStats(mean=float(vals.mean()), variance=float(vals.var(ddof=1)))

@@ -17,6 +17,7 @@ import numpy as np
 from . import lp
 from .linalg import empirical_spectrum
 from .moments import MomentEstimate, estimate_moments
+from .wasserstein import _quantiles
 
 __all__ = [
     "RecoveryConfig",
@@ -175,17 +176,8 @@ def recover_distribution(estimate: MomentEstimate, cfg: RecoveryConfig) -> Spect
 
 
 def quantile_vector(dist: SpectralDistribution, d: int) -> np.ndarray:
-    """d eigenvalue estimates on [0, 1]: the i/(d+1) quantiles of dist.
-
-    Entry i is the smallest support point where the CDF reaches
-    i/(d+1). Output is ascending by construction.
-    """
-    if d < 1:
-        raise ValueError(f"need d >= 1, got {d}")
-    cdf = np.cumsum(dist.masses)
-    levels = np.arange(1, d + 1) / (d + 1)
-    idx = np.minimum(np.searchsorted(cdf, levels, side="left"), dist.support.size - 1)
-    return dist.support[idx]
+    """d eigenvalue estimates on [0, 1]: the i/(d+1) quantiles of dist, ascending."""
+    return _quantiles(dist.support, dist.masses, d)
 
 
 def estimate_spectrum(y, cfg: RecoveryConfig) -> np.ndarray:

@@ -96,15 +96,25 @@ def l1_sorted(a, b) -> float:
     return float(np.abs(av - bv).sum())
 
 
+def _quantiles(support: np.ndarray, masses: np.ndarray, d: int) -> np.ndarray:
+    """The i/(d+1) quantiles, i = 1..d, of ``masses`` on an ascending ``support``.
+
+    Entry i is the smallest support point where the CDF reaches i/(d+1),
+    so the output is ascending. Masses must be nonnegative; zero masses
+    are allowed.
+    """
+    if d < 1:
+        raise ValueError(f"need d >= 1, got {d}")
+    cdf = np.cumsum(masses)
+    levels = np.arange(1, d + 1) / (d + 1)
+    idx = np.minimum(np.searchsorted(cdf, levels, side="left"), support.size - 1)
+    return support[idx]
+
+
 def quantize(p: PointMassDistribution, d: int) -> PointMassDistribution:
     """Round ``p`` to d equal masses at its i/(d+1) quantiles, i = 1..d.
 
     The result's W1 distance from ``p`` is at most (range of support)/d.
     """
-    if d < 1:
-        raise ValueError(f"need at least one output mass, got d={d}")
     locs, mass = p.sorted_merged()
-    cdf = np.cumsum(mass)
-    levels = np.arange(1, d + 1) / (d + 1)
-    idx = np.minimum(np.searchsorted(cdf, levels, side="left"), locs.size - 1)
-    return PointMassDistribution(locs[idx], np.full(d, 1.0 / d))
+    return PointMassDistribution(_quantiles(locs, mass, d), np.full(d, 1.0 / d))

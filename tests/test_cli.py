@@ -208,6 +208,24 @@ class TestEstimate:
         assert code == 2
         assert "line 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("token", ["nan", "inf", "1e999"])
+    def test_non_finite_csv_is_input_error(self, tmp_path, capsys, token):
+        path = tmp_path / "y.csv"
+        path.write_text(f"1.0,2.0\n3.0,{token}\n")
+        code = main(["estimate", str(path)])
+        assert code == 2
+        assert "line 2: non-finite" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("bound", [[], ["--b", "1.0"]])
+    def test_gram_overflow_is_input_error(self, tmp_path, capsys, bound):
+        # finite entries whose squares overflow to inf in the gram
+        path = tmp_path / "y.csv"
+        save_matrix_csv(path, np.full((8, 4), 1e200))
+        code = main(["estimate", str(path), "--k", "2", *bound])
+        assert code == 2
+        assert "overflowed" in capsys.readouterr().err
+
     def test_k_above_sample_count(self, tmp_path, capsys):
         path = tmp_path / "y.csv"
         save_matrix_csv(path, np.ones((3, 5)))

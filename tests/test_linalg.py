@@ -188,6 +188,17 @@ class TestEmpiricalSpectrum:
             )
             np.testing.assert_allclose(empirical_spectrum(y), direct, atol=1e-10)
 
+    @pytest.mark.parametrize(
+        "n, d, zero",
+        [(5, 8, False), (8, 8, False), (12, 6, False), (4, 10, True), (9, 3, True)],
+    )
+    def test_equals_sorted_eigvalsh_reference(self, n, d, zero):
+        y = np.zeros((n, d)) if zero else np.random.default_rng(18).standard_normal((n, d))
+        small = y @ y.T if n <= d else y.T @ y
+        vals = np.clip(np.linalg.eigvalsh(0.5 * (small + small.T)) / n, 0.0, None)
+        expected = np.sort(np.concatenate([np.zeros(max(d - n, 0)), vals]))
+        np.testing.assert_array_equal(empirical_spectrum(y), expected)
+
     def test_sorted_and_nonnegative(self):
         rng = np.random.default_rng(16)
         y = rng.standard_normal((30, 50))
@@ -227,6 +238,13 @@ class TestCsvRoundTrip:
         path = tmp_path / "y.csv"
         path.write_text("1.0,2.0\n3.0,oops\n")
         with pytest.raises(ValueError, match="line 2"):
+            load_matrix_csv(path)
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_value_names_line(self, tmp_path, token):
+        path = tmp_path / "y.csv"
+        path.write_text(f"1.0,2.0\n\n3.0,{token}\n")
+        with pytest.raises(ValueError, match="line 3: non-finite"):
             load_matrix_csv(path)
 
     def test_empty_file_rejected(self, tmp_path):

@@ -10,9 +10,14 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from specest.lp import SimplexSolution, WeightedL1Problem, solve
+from specest.moments import estimate_moments
+from specest.recovery import RecoveryConfig, build_mesh, default_weights
+from specest.synth import CovarianceModel, factor, sample
 from specest.wasserstein import PointMassDistribution, w1
 
 
@@ -107,15 +112,6 @@ class TestProblemValidation:
     def test_rejects_nonpositive_weights(self):
         with pytest.raises(ValueError, match="positive"):
             WeightedL1Problem(mesh=[0.5], target=[0.7], weights=[0.0])
-
-    def test_rejects_inconsistent_moment_matrix(self):
-        with pytest.raises(ValueError, match="powers"):
-            WeightedL1Problem(
-                mesh=[0.5, 1.0],
-                target=[0.7],
-                weights=[1.0],
-                moment_matrix=[[0.4, 1.0]],
-            )
 
     def test_objective_evaluates_mismatch(self):
         prob = WeightedL1Problem(mesh=[0.0, 1.0], target=[0.3], weights=[2.0])
@@ -247,6 +243,22 @@ class TestSolveProperties:
         )
 
 
+@pytest.fixture(scope="module")
+def two_spike_fit():
+    """The LP that recovery builds from 256 two_spike samples in d = 512."""
+    n, d = 256, 512
+    y = sample(factor(CovarianceModel("two_spike", d)), n, "gaussian", seed=3)
+    cfg = RecoveryConfig(b=2.0)
+    est = estimate_moments(y, cfg.k_max, cfg.b)
+    mesh = build_mesh(cfg.b, cfg, problem_size=max(n, d))
+    return WeightedL1Problem(mesh.points, est.values, default_weights(n, d, cfg.k_max, est))
+
+
+def assert_feasible(sol):
+    assert (sol.masses >= 0).all()
+    assert sol.masses.sum() == pytest.approx(1.0, abs=1e-9)
+
+
 class TestIterationControl:
     def test_iteration_limit_reported(self):
         rng = np.random.default_rng(47)
@@ -259,3 +271,19 @@ class TestIterationControl:
         prob = WeightedL1Problem(mesh=[0.0, 1.0], target=[0.3], weights=[1.0])
         sol = solve(prob)
         assert sol.iterations >= 1
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), max_iterations=st.integers(0, 30))
+    def test_masses_feasible_at_any_limit(self, seed, max_iterations):
+        prob = random_problem(np.random.default_rng(seed), t_max=12, k_max=5)
+        assert_feasible(solve(prob, max_iterations=max_iterations))
+
+    def test_every_cutoff_of_a_recovery_fit(self, two_spike_fit):
+        full = solve(two_spike_fit)
+        assert full.status == "optimal"
+        for cutoff in range(full.iterations + 1):
+            sol = solve(two_spike_fit, max_iterations=cutoff)
+            assert (sol.status, sol.iterations) == ("iteration-limit", cutoff)
+            assert_feasible(sol)
+        # Cut at the optimal basis, the masses are those of the full solve.
+        np.testing.assert_array_equal(sol.masses, full.masses)

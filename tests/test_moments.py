@@ -17,12 +17,16 @@ from specest.moments import (
     binomial,
     brute_force_increasing,
     empirical_moment,
-    estimate_moment,
     estimate_moments,
     monte_carlo_variance,
     trial_seed,
 )
 from specest.synth import CovarianceModel, factor, sample
+
+
+def kth_moment(y, k):
+    """The k-th moment estimate on its own: the last value of estimate_moments(y, k)."""
+    return estimate_moments(y, k).values[k - 1]
 
 
 class TestHelpers:
@@ -57,16 +61,16 @@ class TestEstimateMoment:
     def test_orthogonal_rows_give_zero_higher_moments(self):
         # diagonal gram: no off-diagonal entries, so no cycle of length >= 2
         y = np.sqrt(8.0) * np.eye(8)
-        assert estimate_moment(y, 1) == pytest.approx(1.0, abs=1e-15)
+        assert kth_moment(y, 1) == pytest.approx(1.0, abs=1e-15)
         for k in range(2, 9):
-            assert estimate_moment(y, k) == 0.0
+            assert kth_moment(y, k) == 0.0
 
     def test_single_cycle_when_n_equals_k(self):
         rng = np.random.default_rng(30)
         y = rng.standard_normal((3, 5))
         a = gram(y)
         expected = a[0, 1] * a[1, 2] * a[2, 0] / 5.0
-        assert estimate_moment(y, 3) == pytest.approx(expected, rel=1e-12)
+        assert kth_moment(y, 3) == pytest.approx(expected, rel=1e-12)
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(31)
@@ -76,7 +80,7 @@ class TestEstimateMoment:
             y = rng.standard_normal((n, d))
             a = gram(y)
             for k in range(1, min(n, 5) + 1):
-                fast = estimate_moment(y, k)
+                fast = kth_moment(y, k)
                 ref = brute_force_increasing(a, k) / d
                 scale = max(abs(ref), 1e-12)
                 assert abs(fast - ref) / scale < 1e-10
@@ -85,22 +89,22 @@ class TestEstimateMoment:
         rng = np.random.default_rng(32)
         for _ in range(10):
             y = rng.standard_normal((7, 13))
-            assert estimate_moment(y, 1) == empirical_moment(y, 1)
+            assert kth_moment(y, 1) == empirical_moment(y, 1)
 
     def test_homogeneous_of_degree_2k(self):
         rng = np.random.default_rng(33)
         y = rng.standard_normal((6, 4))
         for k in (1, 2, 3):
-            lhs = estimate_moment(2.0 * y, k)
-            rhs = 4.0**k * estimate_moment(y, k)
+            lhs = kth_moment(2.0 * y, k)
+            rhs = 4.0**k * kth_moment(y, k)
             assert lhs == pytest.approx(rhs, rel=1e-12)
 
     def test_rejects_k_out_of_range(self):
         y = np.ones((3, 3))
         with pytest.raises(ValueError):
-            estimate_moment(y, 0)
+            kth_moment(y, 0)
         with pytest.raises(ValueError):
-            estimate_moment(y, 4)
+            kth_moment(y, 4)
 
     def test_unbiased_on_identity_model(self):
         # all true moments are 1; check the Monte-Carlo mean lands there
@@ -110,7 +114,7 @@ class TestEstimateMoment:
         for k in (2, 3):
             vals = np.array(
                 [
-                    estimate_moment(sample(s, 12, "gaussian", trial_seed(100, i)), k)
+                    kth_moment(sample(s, 12, "gaussian", trial_seed(100, i)), k)
                     for i in range(trials)
                 ]
             )
@@ -125,7 +129,7 @@ class TestEstimateMoments:
         est = estimate_moments(y, 4)
         for k in range(1, 5):
             assert est.values[k - 1] == pytest.approx(
-                estimate_moment(y, k), rel=1e-14
+                kth_moment(y, k), rel=1e-14
             )
 
     def test_scale_divides_kth_moment_by_bk(self):

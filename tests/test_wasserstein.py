@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from specest.recovery import SpectralDistribution, quantile_vector
 from specest.wasserstein import (
     PointMassDistribution,
     from_sorted_vector,
@@ -179,3 +180,20 @@ class TestQuantize:
         p = PointMassDistribution([0.0], [1.0])
         with pytest.raises(ValueError):
             quantize(p, 0)
+
+    def test_matches_quantile_vector(self):
+        # quantize sees only the atoms; quantile_vector also the mesh
+        # points left at zero mass, which must never be picked
+        rng = np.random.default_rng(26)
+        for _ in range(300):
+            size = int(rng.integers(1, 20))
+            mesh = np.linspace(0.0, 1.0, size)
+            masses = rng.uniform(0.01, 1.0, size)
+            masses[rng.random(size) < 0.5] = 0.0
+            masses[rng.integers(size)] = 1.0
+            masses /= masses.sum()
+            atoms = masses > 0
+            p = PointMassDistribution(mesh[atoms], masses[atoms])
+            dist = SpectralDistribution(support=mesh, masses=masses)
+            for d in (1, 2, 7, 100):
+                np.testing.assert_array_equal(quantize(p, d).locations, quantile_vector(dist, d))
