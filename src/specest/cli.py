@@ -8,7 +8,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,8 +22,6 @@ from .recovery import (
 )
 from .synth import ENTRY_KINDS, FAMILIES, CovarianceModel, factor, sample, true_spectrum
 from .wasserstein import l1_sorted, w1
-
-THREADS_ENV = "SPECEST_THREADS"
 
 SUMMARY_COLUMNS = ("family", "d", "n", "trial", "w1_recovered", "w1_empirical", "runtime_ms")
 
@@ -61,16 +58,6 @@ class TrialResult:
     w1_recovered: float
     w1_empirical: float
     runtime_ms: float
-
-
-def _threads() -> int:
-    raw = os.environ.get(THREADS_ENV)
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            raise ValueError(f"{THREADS_ENV} must be an integer, got {raw!r}") from None
-    return os.cpu_count() or 1
 
 
 def _data_seed(spec: ExperimentSpec, d: int, n: int, trial: int) -> tuple[int, int, int, int]:
@@ -116,16 +103,13 @@ def _run_trial(
     spec: ExperimentSpec,
     s: np.ndarray,
     true_vec: np.ndarray,
-    b: float,
+    cfg: RecoveryConfig,
     d: int,
     n: int,
     trial: int,
 ) -> TrialResult:
     start = time.perf_counter()
     y = sample(s, n, spec.entry, _data_seed(spec, d, n, trial))
-    cfg = RecoveryConfig(
-        b=b, k_max=spec.k_max, mesh_cap=spec.mesh_cap, weight_scheme=spec.weight_scheme
-    )
     recovered = estimate_spectrum(y, cfg)
     empirical = empirical_spectrum(y)
     w1_rec = l1_sorted(recovered, true_vec) / d
@@ -144,12 +128,16 @@ def run_experiment(spec: ExperimentSpec) -> tuple[list[TrialResult], list[str]]:
     os.makedirs(spec.out_dir, exist_ok=True)
     results: list[TrialResult] = []
     failures: list[str] = []
-    workers = _threads()
     for d in spec.d_values:
         model = CovarianceModel(spec.family, d)
         s = factor(model)
         true_vec = true_spectrum(model)
-        b = spec.b if spec.b is not None else float(true_vec[-1])
+        cfg = RecoveryConfig(
+            b=spec.b if spec.b is not None else float(true_vec[-1]),
+            k_max=spec.k_max,
+            mesh_cap=spec.mesh_cap,
+            weight_scheme=spec.weight_scheme,
+        )
         for ratio in spec.n_ratios:
             n = max(1, round(ratio * d))
             if n < spec.k_max:
@@ -157,25 +145,15 @@ def run_experiment(spec: ExperimentSpec) -> tuple[list[TrialResult], list[str]]:
                     f"{spec.family} d={d} n={n}: fewer samples than k_max={spec.k_max}"
                 )
                 continue
-            trials = range(spec.trials)
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                outcomes = list(
-                    pool.map(lambda t: _run_trial_safe(spec, s, true_vec, b, d, n, t), trials)
-                )
-            for t, outcome in zip(trials, outcomes):
-                if isinstance(outcome, TrialResult):
-                    results.append(outcome)
-                else:
-                    failures.append(f"{spec.family} d={d} n={n} trial={t}: {outcome}")
+            for t in range(spec.trials):
+                try:
+                    results.append(_run_trial(spec, s, true_vec, cfg, d, n, t))
+                except Exception as exc:  # noqa: BLE001 - cell failures are enumerated, not fatal
+                    failures.append(
+                        f"{spec.family} d={d} n={n} trial={t}: {type(exc).__name__}: {exc}"
+                    )
     results.sort(key=lambda r: (r.family, r.d, r.n, r.trial))
     return results, failures
-
-
-def _run_trial_safe(spec, s, true_vec, b, d, n, trial):
-    try:
-        return _run_trial(spec, s, true_vec, b, d, n, trial)
-    except Exception as exc:  # noqa: BLE001 - cell failures are enumerated, not fatal
-        return f"{type(exc).__name__}: {exc}"
 
 
 def write_summary(path: str, results: list[TrialResult]) -> None:

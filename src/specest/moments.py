@@ -132,7 +132,7 @@ def estimate_moments(y, k_max: int, b: float = 1.0) -> MomentEstimate:
     k_max : int
         Highest moment order, 1 <= k_max <= n.
     b : float
-        Positive eigenvalue scale; b = 1 leaves the data untouched.
+        Positive finite eigenvalue scale; b = 1 leaves the data untouched.
 
     Returns
     -------
@@ -141,8 +141,8 @@ def estimate_moments(y, k_max: int, b: float = 1.0) -> MomentEstimate:
     y = np.asarray(y, dtype=float)
     n, d = y.shape
     _validate_k(n, k_max)
-    if not b > 0:
-        raise ValueError(f"scale must be positive, got b={b}")
+    if not 0 < b < math.inf:
+        raise ValueError(f"scale must be positive and finite, got b={b}")
     # Scaling the gram matrix by 1/b is the same map as scaling the
     # samples by 1/sqrt(b), one n^2 pass instead of an n*d pass.
     a = gram(y) / b

@@ -43,22 +43,20 @@ class RecoveryConfig:
     """Tuning knobs for spectrum recovery.
 
     b must upper bound the population eigenvalues for the guarantees to
-    mean anything; mesh_step of None picks 1/max(d, n) at solve time.
+    mean anything. The mesh step is 1/max(d, n), coarsened to mesh_cap
+    points when that step would need more.
     """
 
     b: float
     k_max: int = 7
-    mesh_step: float | None = None
     mesh_cap: int = 4001
     weight_scheme: str = "theoretical"
 
     def __post_init__(self) -> None:
-        if not self.b > 0:
-            raise ValueError(f"eigenvalue bound must be positive, got b={self.b}")
+        if not 0 < self.b < math.inf:
+            raise ValueError(f"eigenvalue bound must be positive and finite, got b={self.b}")
         if self.k_max < 1:
             raise ValueError(f"k_max must be >= 1, got {self.k_max}")
-        if self.mesh_step is not None and not 0 < self.mesh_step <= 1:
-            raise ValueError(f"mesh_step must lie in (0, 1], got {self.mesh_step}")
         if self.mesh_cap < 2:
             raise ValueError(f"mesh_cap must be >= 2, got {self.mesh_cap}")
         if self.weight_scheme not in WEIGHT_SCHEMES:
@@ -100,32 +98,22 @@ class SpectralDistribution:
             raise ValueError(f"masses must sum to 1 within 1e-9, got {total!r}")
 
 
-def build_mesh(b: float, cfg: RecoveryConfig, problem_size: int | None = None) -> Mesh:
+def build_mesh(b: float, cfg: RecoveryConfig, problem_size: int) -> Mesh:
     """Uniform mesh {0, step, ..., 1} on the b-rescaled domain.
 
-    The step is cfg.mesh_step when set, otherwise 1/problem_size. When
-    the implied point count would exceed cfg.mesh_cap the mesh is
-    coarsened to exactly mesh_cap points and flagged as such. Both
-    endpoints 0 and 1 are always present.
+    The step is 1/problem_size. When that would exceed cfg.mesh_cap
+    points the mesh is coarsened to exactly mesh_cap points and flagged
+    as such. Both endpoints 0 and 1 are always present.
     """
-    if not b > 0:
-        raise ValueError(f"eigenvalue bound must be positive, got b={b}")
-    if cfg.mesh_step is not None:
-        step = cfg.mesh_step
-    else:
-        if problem_size is None or problem_size < 1:
-            raise ValueError("mesh_step unset and no problem size given")
-        step = 1.0 / problem_size
-    # Never coarser than requested: round interval count upward.
-    intervals = max(1, math.ceil(1.0 / step - 1e-9))
-    coarsened = False
-    if intervals + 1 > cfg.mesh_cap:
-        intervals = cfg.mesh_cap - 1
-        coarsened = True
+    if not 0 < b < math.inf:
+        raise ValueError(f"eigenvalue bound must be positive and finite, got b={b}")
+    if problem_size < 1:
+        raise ValueError(f"problem size must be >= 1, got {problem_size}")
+    intervals = min(problem_size, cfg.mesh_cap - 1)
     return Mesh(
         points=np.linspace(0.0, 1.0, intervals + 1),
         step=1.0 / intervals,
-        coarsened=coarsened,
+        coarsened=intervals < problem_size,
     )
 
 

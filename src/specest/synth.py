@@ -6,7 +6,7 @@ recovery error can be measured exactly:
 * ``identity``          all eigenvalues 1
 * ``two_spike``         half the eigenvalues 1, half 2 (d must be even)
 * ``uniform_spectrum``  eigenvalues 2i/d for i = 1..d
-* ``toeplitz``          Sigma[i, j] = rho^|i - j| with rho = 0.3
+* ``toeplitz``          Sigma[i, j] = 0.3^|i - j| (``TOEPLITZ_RHO``)
 
 Data is generated as Y = X S where X has i.i.d. zero-mean unit-variance
 entries and S^T S equals the model covariance.
@@ -36,6 +36,8 @@ __all__ = [
 
 FAMILIES = ("identity", "two_spike", "uniform_spectrum", "toeplitz")
 
+TOEPLITZ_RHO = 0.3  # decay of the toeplitz family's covariance
+
 
 @dataclass(frozen=True)
 class CovarianceModel:
@@ -43,7 +45,6 @@ class CovarianceModel:
 
     family: str
     d: int
-    rho: float = 0.3  # toeplitz decay, ignored by other families
 
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
@@ -52,8 +53,6 @@ class CovarianceModel:
             raise ValueError(f"dimension must be positive, got {self.d}")
         if self.family == "two_spike" and self.d % 2 != 0:
             raise ValueError("two_spike requires an even dimension")
-        if not 0 <= self.rho < 1:
-            raise ValueError(f"toeplitz decay must lie in [0, 1), got {self.rho}")
 
 
 @dataclass(frozen=True)
@@ -112,7 +111,7 @@ def covariance(model: CovarianceModel) -> np.ndarray:
     d = model.d
     if model.family == "toeplitz":
         idx = np.arange(d)
-        return model.rho ** np.abs(idx[:, None] - idx[None, :])
+        return TOEPLITZ_RHO ** np.abs(idx[:, None] - idx[None, :])
     return np.diag(true_spectrum(model))
 
 

@@ -89,7 +89,7 @@ class TestSimulate:
         )
         assert wins >= 4
 
-    def test_deterministic_given_seed(self, tmp_path, monkeypatch):
+    def test_deterministic_given_seed(self, tmp_path):
         args = [
             "simulate",
             "--family", "two_spike",
@@ -100,7 +100,6 @@ class TestSimulate:
         ]
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         assert main(args + ["--out", str(out_a)]) == 0
-        monkeypatch.setenv("SPECEST_THREADS", "1")  # serial path, same answer
         assert main(args + ["--out", str(out_b)]) == 0
         rows_a = read_summary(out_a / "summary.csv")
         rows_b = read_summary(out_b / "summary.csv")
@@ -140,6 +139,53 @@ class TestSimulate:
         rows = read_summary(out / "summary.csv")[1:]
         keys = [(r[0], int(r[1]), int(r[2]), int(r[3])) for r in rows]
         assert keys == sorted(keys)
+
+    def test_failed_trial_is_named_and_others_kept(self, tmp_path, monkeypatch, capsys):
+        calls = []
+
+        def flaky(y, cfg):
+            calls.append(None)
+            if len(calls) == 2:  # trials run in order, so this is trial 1
+                raise RuntimeError("solver exploded")
+            return estimate_spectrum(y, cfg)
+
+        monkeypatch.setattr("specest.cli.estimate_spectrum", flaky)
+        out = tmp_path / "run"
+        code = main(
+            [
+                "simulate",
+                "--family", "identity",
+                "--d", "32",
+                "--n-ratio", "1",
+                "--trials", "3",
+                "--out", str(out),
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "identity d=32 n=32 trial=1: RuntimeError: solver exploded" in err
+        assert err.count("failed:") == 1
+        rows = read_summary(out / "summary.csv")[1:]
+        assert [int(r[3]) for r in rows] == [0, 2]
+
+    @pytest.mark.parametrize("bound", ["inf", "nan", "-1", "0"])
+    def test_bad_bound_is_usage_error_before_any_trial(self, tmp_path, capsys, bound):
+        out = tmp_path / "run"
+        code = main(
+            [
+                "simulate",
+                "--family", "identity",
+                "--d", "16",
+                "--n-ratio", "1",
+                "--trials", "3",
+                "--b", bound,
+                "--out", str(out),
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and "failed" not in err
+        assert not list(out.glob("cdf_*.csv"))
 
     def test_rejects_unknown_family(self, tmp_path):
         with pytest.raises(SystemExit):
@@ -226,6 +272,15 @@ class TestEstimate:
         assert code == 2
         assert "overflowed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bound", ["inf", "nan"])
+    def test_non_finite_bound_is_usage_error(self, tmp_path, capsys, bound):
+        path = tmp_path / "y.csv"
+        save_matrix_csv(path, np.random.default_rng(63).standard_normal((16, 8)))
+        code = main(["estimate", str(path), "--b", bound, "--k", "5"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "finite" in captured.err and captured.out == ""
+
     def test_k_above_sample_count(self, tmp_path, capsys):
         path = tmp_path / "y.csv"
         save_matrix_csv(path, np.ones((3, 5)))
@@ -278,19 +333,3 @@ class TestLowerBound:
         report = json.loads(out.read_text())
         assert report["separation_exceeds_threshold"] is True
 
-
-class TestThreadsEnv:
-    def test_bad_thread_count_rejected(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("SPECEST_THREADS", "many")
-        code = main(
-            [
-                "simulate",
-                "--family", "identity",
-                "--d", "16",
-                "--n-ratio", "1",
-                "--trials", "1",
-                "--out", str(tmp_path / "run"),
-            ]
-        )
-        assert code == 2
-        assert "SPECEST_THREADS" in capsys.readouterr().err

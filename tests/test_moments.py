@@ -159,6 +159,11 @@ class TestEstimateMoments:
         with pytest.raises(ValueError, match="positive"):
             estimate_moments(np.ones((4, 2)), 2, b=0.0)
 
+    @pytest.mark.parametrize("b", [math.inf, math.nan])
+    def test_rejects_non_finite_scale(self, b):
+        with pytest.raises(ValueError, match="finite"):
+            estimate_moments(np.ones((4, 2)), 2, b)
+
 
 class TestEmpiricalMoment:
     def test_matches_dense_power_trace(self):

@@ -48,7 +48,6 @@ class TestRecoveryConfig:
     def test_defaults(self):
         cfg = RecoveryConfig(b=2.0)
         assert cfg.k_max == 7
-        assert cfg.mesh_step is None
         assert cfg.mesh_cap == 4001
         assert cfg.weight_scheme == "theoretical"
 
@@ -56,18 +55,19 @@ class TestRecoveryConfig:
         with pytest.raises(ValueError):
             RecoveryConfig(b=0.0)
 
+    @pytest.mark.parametrize("b", [np.inf, np.nan])
+    def test_rejects_non_finite_b(self, b):
+        with pytest.raises(ValueError, match="finite"):
+            RecoveryConfig(b=b)
+
     def test_rejects_bad_scheme(self):
         with pytest.raises(ValueError, match="weight scheme"):
             RecoveryConfig(b=1.0, weight_scheme="aggressive")
 
-    def test_rejects_bad_step(self):
-        with pytest.raises(ValueError):
-            RecoveryConfig(b=1.0, mesh_step=1.5)
-
 
 class TestBuildMesh:
     def test_half_step(self):
-        mesh = build_mesh(1.0, RecoveryConfig(b=1.0, mesh_step=0.5))
+        mesh = build_mesh(1.0, RecoveryConfig(b=1.0), problem_size=2)
         np.testing.assert_allclose(mesh.points, [0.0, 0.5, 1.0])
         assert not mesh.coarsened
 
@@ -83,18 +83,20 @@ class TestBuildMesh:
         assert mesh.step == pytest.approx(1.0 / 4000)
 
     def test_endpoints_always_present(self):
-        for step in (0.3, 0.07, 1.0 / 3):
-            mesh = build_mesh(1.0, RecoveryConfig(b=1.0, mesh_step=step))
+        for size in (1, 3, 14, 4096):
+            mesh = build_mesh(1.0, RecoveryConfig(b=1.0), problem_size=size)
             assert mesh.points[0] == 0.0
             assert mesh.points[-1] == 1.0
 
     def test_never_coarser_than_requested(self):
-        mesh = build_mesh(1.0, RecoveryConfig(b=1.0, mesh_step=0.3))
-        assert mesh.step <= 0.3 + 1e-12
+        for size in (1, 2, 3, 14, 49, 4000):
+            mesh = build_mesh(1.0, RecoveryConfig(b=1.0), problem_size=size)
+            assert mesh.step <= 1.0 / size + 1e-12
+            assert not mesh.coarsened
 
     def test_needs_problem_size_without_step(self):
         with pytest.raises(ValueError, match="problem size"):
-            build_mesh(1.0, RecoveryConfig(b=1.0))
+            build_mesh(1.0, RecoveryConfig(b=1.0), problem_size=0)
 
 
 class TestDefaultWeights:

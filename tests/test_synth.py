@@ -28,10 +28,6 @@ class TestCovarianceModel:
         with pytest.raises(ValueError, match="even"):
             CovarianceModel("two_spike", 7)
 
-    def test_rejects_bad_rho(self):
-        with pytest.raises(ValueError):
-            CovarianceModel("toeplitz", 4, rho=1.0)
-
 
 class TestSpectra:
     def test_identity(self):
@@ -69,9 +65,9 @@ class TestSpectra:
 
 class TestCovarianceAndFactor:
     def test_toeplitz_entries(self):
-        sigma = covariance(CovarianceModel("toeplitz", 3, rho=0.5))
+        sigma = covariance(CovarianceModel("toeplitz", 3))
         np.testing.assert_allclose(
-            sigma, [[1.0, 0.5, 0.25], [0.5, 1.0, 0.5], [0.25, 0.5, 1.0]]
+            sigma, [[1.0, 0.3, 0.09], [0.3, 1.0, 0.3], [0.09, 0.3, 1.0]]
         )
 
     def test_factor_squares_to_covariance(self):
