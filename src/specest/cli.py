@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 import time
@@ -124,13 +125,14 @@ def _run_trial(
 
 
 def run_experiment(spec: ExperimentSpec) -> tuple[list[TrialResult], list[str]]:
-    """Run every (d, n, trial) cell; returns results plus failure notes."""
-    os.makedirs(spec.out_dir, exist_ok=True)
-    results: list[TrialResult] = []
-    failures: list[str] = []
+    """Run every (d, n, trial) cell; returns results plus failure notes.
+
+    Every model and config is built before the output directory is
+    created, so a bad family/dimension pair or bound leaves nothing behind.
+    """
+    dims = []
     for d in spec.d_values:
         model = CovarianceModel(spec.family, d)
-        s = factor(model)
         true_vec = true_spectrum(model)
         cfg = RecoveryConfig(
             b=spec.b if spec.b is not None else float(true_vec[-1]),
@@ -138,6 +140,13 @@ def run_experiment(spec: ExperimentSpec) -> tuple[list[TrialResult], list[str]]:
             mesh_cap=spec.mesh_cap,
             weight_scheme=spec.weight_scheme,
         )
+        dims.append((model, true_vec, cfg))
+    os.makedirs(spec.out_dir, exist_ok=True)
+    results: list[TrialResult] = []
+    failures: list[str] = []
+    for model, true_vec, cfg in dims:
+        d = model.d
+        s = factor(model)
         for ratio in spec.n_ratios:
             n = max(1, round(ratio * d))
             if n < spec.k_max:
@@ -177,11 +186,13 @@ def write_summary(path: str, results: list[TrialResult]) -> None:
 def _parse_ratio(text: str) -> float:
     if "/" in text:
         num, _, den = text.partition("/")
+        if float(den) == 0:
+            raise argparse.ArgumentTypeError(f"n ratio has a zero denominator: {text!r}")
         value = float(num) / float(den)
     else:
         value = float(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"n ratio must be positive, got {text!r}")
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"n ratio must be positive and finite, got {text!r}")
     return value
 
 
@@ -303,12 +314,20 @@ def cmd_estimate(args) -> int:
     except (ValueError, NonFiniteError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    lines = "".join(f"{repr(float(v))}\n" for v in spectrum)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(lines)
-    else:
-        sys.stdout.write(lines)
+    return _emit("".join(f"{repr(float(v))}\n" for v in spectrum), args.out)
+
+
+def _emit(text: str, path: str | None) -> int:
+    """Write ``text`` to ``path``, or to stdout without one; returns the exit code."""
+    if not path:
+        sys.stdout.write(text)
+        return 0
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 
@@ -363,12 +382,7 @@ def cmd_lower_bound(args) -> int:
             ["bounds_all_ok", "", str(bounds.all_ok), ""],
         ]
         text = "\n".join(",".join(str(c) for c in row) for row in rows) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return 0
+    return _emit(text, args.out)
 
 
 def main(argv=None) -> int:

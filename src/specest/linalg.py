@@ -13,10 +13,8 @@ import numpy as np
 
 __all__ = [
     "NonFiniteError",
-    "SymmetryError",
     "gram",
     "strict_upper",
-    "sym_eigenvalues",
     "empirical_spectrum",
     "load_matrix_csv",
     "save_matrix_csv",
@@ -25,10 +23,6 @@ __all__ = [
 
 class NonFiniteError(ArithmeticError):
     """A computation produced NaN or infinity."""
-
-
-class SymmetryError(ValueError):
-    """Matrix is not symmetric within tolerance."""
 
 
 def _as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -53,7 +47,7 @@ def gram(y) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise NonFiniteError("data matrix contains non-finite entries")
     a = arr @ arr.T
-    # Symmetrize so downstream symmetry checks hold exactly.
+    # Symmetrize so both triangles carry the same rounding.
     a = 0.5 * (a + a.T)
     if not np.isfinite(a).all():
         raise NonFiniteError("gram matrix overflowed to non-finite values")
@@ -64,26 +58,6 @@ def strict_upper(a) -> np.ndarray:
     """Copy of ``a`` with the diagonal and lower triangle zeroed."""
     arr = _require_square(a)
     return np.triu(arr, k=1)
-
-
-def sym_eigenvalues(a, *, tol: float = 1e-8) -> np.ndarray:
-    """Eigenvalues of a symmetric matrix, ascending.
-
-    ``a`` must be symmetric up to a relative tolerance of ``tol``;
-    anything worse raises :class:`SymmetryError` instead of silently
-    symmetrizing garbage.
-    """
-    arr = _require_square(a)
-    if not np.isfinite(arr).all():
-        raise NonFiniteError("matrix contains non-finite entries")
-    scale = np.abs(arr).max()
-    dev = np.abs(arr - arr.T).max()
-    if dev > tol * max(scale, 1.0):
-        raise SymmetryError(
-            f"matrix is not symmetric: max asymmetry {dev:.3e} exceeds "
-            f"tolerance {tol:.1e} * {max(scale, 1.0):.3e}"
-        )
-    return np.linalg.eigvalsh(0.5 * (arr + arr.T))
 
 
 def empirical_spectrum(y) -> np.ndarray:

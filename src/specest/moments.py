@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import gram, strict_upper
-from .synth import CovarianceModel, entry_distribution, factor
+from .synth import CovarianceModel, factor, sample
 
 __all__ = [
     "ResourceLimitError",
@@ -224,11 +224,9 @@ def monte_carlo_variance(
     if trials < 100:
         raise ValueError(f"need at least 100 trials, got {trials}")
     _validate_k(n, k)
-    dist = entry_distribution(entry)
     s = factor(model)
     vals = np.empty(trials)
     for i in range(trials):
-        rng = np.random.default_rng(trial_seed(seed, i))
-        y = dist.draw(rng, n, model.d) @ s
+        y = sample(s, n, entry, trial_seed(seed, i))
         vals[i] = estimate_moments(y, k).values[k - 1]
     return MonteCarloStats(mean=float(vals.mean()), variance=float(vals.var(ddof=1)))

@@ -98,15 +98,13 @@ class SpectralDistribution:
             raise ValueError(f"masses must sum to 1 within 1e-9, got {total!r}")
 
 
-def build_mesh(b: float, cfg: RecoveryConfig, problem_size: int) -> Mesh:
+def build_mesh(cfg: RecoveryConfig, problem_size: int) -> Mesh:
     """Uniform mesh {0, step, ..., 1} on the b-rescaled domain.
 
     The step is 1/problem_size. When that would exceed cfg.mesh_cap
     points the mesh is coarsened to exactly mesh_cap points and flagged
     as such. Both endpoints 0 and 1 are always present.
     """
-    if not 0 < b < math.inf:
-        raise ValueError(f"eigenvalue bound must be positive and finite, got b={b}")
     if problem_size < 1:
         raise ValueError(f"problem size must be >= 1, got {problem_size}")
     intervals = min(problem_size, cfg.mesh_cap - 1)
@@ -117,19 +115,20 @@ def build_mesh(b: float, cfg: RecoveryConfig, problem_size: int) -> Mesh:
     )
 
 
-def default_weights(n: int, d: int, k_max: int, estimate) -> np.ndarray:
+def default_weights(n: int, d: int, k_max: int, values) -> np.ndarray:
     """Variance-scaled weights 1 / (c_i * max(alpha_i, floor)).
 
     c_i = (2i)^(2i) * max(d^(i/2 - 1), 1) / n^(i/2) approximates the
     multiplicative noise scale of the i-th moment estimate, so noisier
     moments count for less in the LP objective. Computed in log space;
     only the floored moment values enter, never the raw targets.
+    ``values`` holds the moment estimates alpha_1, alpha_2, ...
     """
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
     if n < 1 or d < 1:
         raise ValueError(f"n and d must be positive, got n={n} d={d}")
-    values = estimate.values if isinstance(estimate, MomentEstimate) else np.asarray(estimate, dtype=float)
+    values = np.asarray(values, dtype=float)
     if values.size < k_max:
         raise ValueError(f"need {k_max} moment values, got {values.size}")
     i = np.arange(1, k_max + 1, dtype=float)
@@ -146,12 +145,12 @@ def recover_distribution(estimate: MomentEstimate, cfg: RecoveryConfig) -> Spect
         raise ValueError(
             f"estimate carries {estimate.k_max} moments but config needs {cfg.k_max}"
         )
-    mesh = build_mesh(estimate.scale, cfg, problem_size=max(estimate.n, estimate.d))
+    mesh = build_mesh(cfg, problem_size=max(estimate.n, estimate.d))
     target = estimate.values[: cfg.k_max]
     if cfg.weight_scheme == "uniform":
         weights = np.ones(cfg.k_max)
     else:
-        weights = default_weights(estimate.n, estimate.d, cfg.k_max, estimate)
+        weights = default_weights(estimate.n, estimate.d, cfg.k_max, estimate.values)
     problem = lp.WeightedL1Problem(mesh=mesh.points, target=target, weights=weights)
     sol = lp.solve(problem)
     return SpectralDistribution(

@@ -19,8 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import sym_eigenvalues
-
 __all__ = [
     "FAMILIES",
     "ENTRY_KINDS",
@@ -103,7 +101,7 @@ def true_spectrum(model: CovarianceModel) -> np.ndarray:
         return np.concatenate([np.ones(d // 2), np.full(d // 2, 2.0)])
     if model.family == "uniform_spectrum":
         return 2.0 * np.arange(1, d + 1) / d
-    return sym_eigenvalues(covariance(model))
+    return np.linalg.eigvalsh(covariance(model))
 
 
 def covariance(model: CovarianceModel) -> np.ndarray:

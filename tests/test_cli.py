@@ -186,6 +186,23 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err.count("error:") == 1 and "failed" not in err
         assert not list(out.glob("cdf_*.csv"))
+        assert not out.exists()
+
+    def test_odd_two_spike_dimension_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        code = main(["simulate", "--family", "two_spike", "--d", "7", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.count("error:") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("ratio", ["1/0", "inf", "nan", "-inf"])
+    def test_zero_denominator_or_non_finite_ratio_is_usage_error(self, tmp_path, capsys, ratio):
+        out = tmp_path / "run"
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--family", "identity", "--n-ratio", ratio, "--out", str(out)])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.count("error:") == 1
+        assert not out.exists()
 
     def test_rejects_unknown_family(self, tmp_path):
         with pytest.raises(SystemExit):
@@ -241,6 +258,13 @@ class TestEstimate:
         save_matrix_csv(path, rng.standard_normal((10, 4)))
         assert main(["estimate", str(path), "--b", "9.0"]) == 0
         assert "heuristic" not in capsys.readouterr().err
+
+    def test_unwritable_output_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "y.csv"
+        save_matrix_csv(path, np.eye(8))
+        code = main(["estimate", str(path), "--b", "2.0", "--out", str(tmp_path / "missing" / "o.txt")])
+        assert code == 2
+        assert capsys.readouterr().err.count("error:") == 1
 
     def test_missing_file(self, tmp_path, capsys):
         code = main(["estimate", str(tmp_path / "nope.csv")])
@@ -333,3 +357,7 @@ class TestLowerBound:
         report = json.loads(out.read_text())
         assert report["separation_exceeds_threshold"] is True
 
+    def test_unwritable_output_is_usage_error(self, tmp_path, capsys):
+        code = main(["lower-bound", "--k", "4", "--out", str(tmp_path / "missing" / "o.json")])
+        assert code == 2
+        assert capsys.readouterr().err.count("error:") == 1

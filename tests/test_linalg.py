@@ -1,58 +1,16 @@
-"""Tests for the dense linear-algebra primitives.
-
-The eigenvalue routine is checked against an independent cyclic Jacobi
-rotation solver written here in the test, not against another LAPACK
-call, so a wrong wiring of the library path cannot cancel out.
-"""
-
-import math
+"""Tests for the dense linear-algebra primitives."""
 
 import numpy as np
 import pytest
 
 from specest.linalg import (
     NonFiniteError,
-    SymmetryError,
     empirical_spectrum,
     gram,
     load_matrix_csv,
     save_matrix_csv,
     strict_upper,
-    sym_eigenvalues,
 )
-
-
-def jacobi_eigenvalues(a, sweeps=60, tol=1e-14):
-    """Cyclic Jacobi rotations; returns ascending eigenvalues.
-
-    Independent oracle: only scalar arithmetic and explicit 2x2
-    rotations, no eigensolver calls.
-    """
-    a = np.array(a, dtype=float, copy=True)
-    n = a.shape[0]
-    for _ in range(sweeps):
-        off = 0.0
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                off = max(off, abs(a[p, q]))
-        if off < tol * max(1.0, np.abs(np.diag(a)).max()):
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                if a[p, q] == 0.0:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * a[p, q])
-                t = math.copysign(1.0, theta) / (
-                    abs(theta) + math.sqrt(1.0 + theta * theta)
-                )
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                rot = np.eye(n)
-                rot[p, p] = rot[q, q] = c
-                rot[p, q] = s
-                rot[q, p] = -s
-                a = rot.T @ a @ rot
-    return np.sort(np.diag(a))
 
 
 class TestGram:
@@ -113,61 +71,6 @@ class TestStrictUpper:
     def test_rejects_rectangular(self):
         with pytest.raises(ValueError):
             strict_upper(np.ones((2, 3)))
-
-
-class TestSymEigenvalues:
-    def test_diagonal_matrix(self):
-        vals = sym_eigenvalues(np.diag([3.0, -1.0, 2.0]))
-        np.testing.assert_allclose(vals, [-1.0, 2.0, 3.0], atol=1e-14)
-
-    def test_known_2x2(self):
-        # [[2,1],[1,2]] has eigenvalues 1 and 3
-        vals = sym_eigenvalues([[2.0, 1.0], [1.0, 2.0]])
-        np.testing.assert_allclose(vals, [1.0, 3.0], atol=1e-12)
-
-    def test_against_jacobi_oracle(self):
-        rng = np.random.default_rng(10)
-        for _ in range(20):
-            m = rng.standard_normal((6, 6))
-            a = 0.5 * (m + m.T)
-            np.testing.assert_allclose(
-                sym_eigenvalues(a), jacobi_eigenvalues(a), atol=1e-8
-            )
-
-    def test_ascending(self):
-        rng = np.random.default_rng(11)
-        m = rng.standard_normal((12, 12))
-        vals = sym_eigenvalues(0.5 * (m + m.T))
-        assert (np.diff(vals) >= 0).all()
-
-    def test_trace_and_det_identities(self):
-        rng = np.random.default_rng(12)
-        m = rng.standard_normal((7, 7))
-        a = 0.5 * (m + m.T)
-        vals = sym_eigenvalues(a)
-        assert vals.sum() == pytest.approx(np.trace(a), rel=1e-10)
-        assert np.prod(vals) == pytest.approx(np.linalg.det(a), rel=1e-8)
-
-    def test_gram_eigenvalues_nonnegative(self):
-        rng = np.random.default_rng(13)
-        y = rng.standard_normal((9, 4))
-        vals = sym_eigenvalues(gram(y))
-        assert (vals >= -1e-10).all()
-
-    def test_rejects_asymmetric(self):
-        a = np.array([[1.0, 2.0], [0.0, 1.0]])
-        with pytest.raises(SymmetryError):
-            sym_eigenvalues(a)
-
-    def test_tiny_asymmetry_tolerated(self):
-        a = np.array([[1.0, 1.0], [1.0 + 1e-12, 1.0]])
-        vals = sym_eigenvalues(a)
-        assert vals.shape == (2,)
-
-    def test_rejects_non_finite(self):
-        a = np.array([[np.nan, 0.0], [0.0, 1.0]])
-        with pytest.raises(NonFiniteError):
-            sym_eigenvalues(a)
 
 
 class TestEmpiricalSpectrum:

@@ -250,8 +250,8 @@ def two_spike_fit():
     y = sample(factor(CovarianceModel("two_spike", d)), n, "gaussian", seed=3)
     cfg = RecoveryConfig(b=2.0)
     est = estimate_moments(y, cfg.k_max, cfg.b)
-    mesh = build_mesh(cfg.b, cfg, problem_size=max(n, d))
-    return WeightedL1Problem(mesh.points, est.values, default_weights(n, d, cfg.k_max, est))
+    mesh = build_mesh(cfg, problem_size=max(n, d))
+    return WeightedL1Problem(mesh.points, est.values, default_weights(n, d, cfg.k_max, est.values))
 
 
 def assert_feasible(sol):

@@ -67,36 +67,36 @@ class TestRecoveryConfig:
 
 class TestBuildMesh:
     def test_half_step(self):
-        mesh = build_mesh(1.0, RecoveryConfig(b=1.0), problem_size=2)
+        mesh = build_mesh(RecoveryConfig(b=1.0), problem_size=2)
         np.testing.assert_allclose(mesh.points, [0.0, 0.5, 1.0])
         assert not mesh.coarsened
 
     def test_default_step_is_inverse_problem_size(self):
-        mesh = build_mesh(3.0, RecoveryConfig(b=3.0), problem_size=100)
+        mesh = build_mesh(RecoveryConfig(b=3.0), problem_size=100)
         assert mesh.step == pytest.approx(0.01)
         assert mesh.points.size == 101
 
     def test_cap_binds_at_large_dimension(self):
-        mesh = build_mesh(1.0, RecoveryConfig(b=1.0), problem_size=4096)
+        mesh = build_mesh(RecoveryConfig(b=1.0), problem_size=4096)
         assert mesh.coarsened
         assert mesh.points.size == 4001
         assert mesh.step == pytest.approx(1.0 / 4000)
 
     def test_endpoints_always_present(self):
         for size in (1, 3, 14, 4096):
-            mesh = build_mesh(1.0, RecoveryConfig(b=1.0), problem_size=size)
+            mesh = build_mesh(RecoveryConfig(b=1.0), problem_size=size)
             assert mesh.points[0] == 0.0
             assert mesh.points[-1] == 1.0
 
     def test_never_coarser_than_requested(self):
         for size in (1, 2, 3, 14, 49, 4000):
-            mesh = build_mesh(1.0, RecoveryConfig(b=1.0), problem_size=size)
+            mesh = build_mesh(RecoveryConfig(b=1.0), problem_size=size)
             assert mesh.step <= 1.0 / size + 1e-12
             assert not mesh.coarsened
 
     def test_needs_problem_size_without_step(self):
         with pytest.raises(ValueError, match="problem size"):
-            build_mesh(1.0, RecoveryConfig(b=1.0), problem_size=0)
+            build_mesh(RecoveryConfig(b=1.0), problem_size=0)
 
 
 class TestDefaultWeights:
@@ -119,12 +119,6 @@ class TestDefaultWeights:
         assert np.isfinite(w_neg).all()
         assert (w_neg > 0).all()
         assert w_neg[1] == w_floor[1]
-
-    def test_accepts_moment_estimate(self):
-        est = MomentEstimate(values=np.ones(4), n=64, d=32)
-        np.testing.assert_array_equal(
-            default_weights(64, 32, 4, est), default_weights(64, 32, 4, np.ones(4))
-        )
 
     def test_rejects_short_vector(self):
         with pytest.raises(ValueError, match="moment values"):
@@ -180,7 +174,7 @@ class TestRecoverDistribution:
         # 1e-7 on the high moments and can leave them unresolved)
         rng = np.random.default_rng(50)
         cfg = RecoveryConfig(b=1.0, weight_scheme="uniform")
-        mesh_points = build_mesh(1.0, cfg, problem_size=64).points
+        mesh_points = build_mesh(cfg, problem_size=64).points
         for _ in range(25):
             t = int(rng.integers(1, 4))
             idx = rng.choice(mesh_points.size, size=t, replace=False)
