@@ -28,29 +28,6 @@ SUMMARY_COLUMNS = ("family", "d", "n", "trial", "w1_recovered", "w1_empirical", 
 
 
 @dataclass(frozen=True)
-class ExperimentSpec:
-    """One simulate invocation: a family swept over d, n/d ratios and trials."""
-
-    family: str
-    d_values: tuple[int, ...]
-    n_ratios: tuple[float, ...]
-    trials: int
-    k_max: int
-    b: float | None
-    entry: str
-    seed: int
-    out_dir: str
-    mesh_cap: int = 4001
-    weight_scheme: str = "theoretical"
-
-    def __post_init__(self) -> None:
-        if not self.d_values or not self.n_ratios:
-            raise ValueError("d list and n-ratio list must be nonempty")
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
-
-
-@dataclass(frozen=True)
 class TrialResult:
     family: str
     d: int
@@ -61,10 +38,10 @@ class TrialResult:
     runtime_ms: float
 
 
-def _data_seed(spec: ExperimentSpec, d: int, n: int, trial: int) -> tuple[int, int, int, int]:
+def _data_seed(args, d: int, n: int, trial: int) -> tuple[int, int, int, int]:
     # Trial axis follows the seed XOR trial contract; the remaining cell
     # coordinates are mixed in as extra entropy words.
-    return (trial_seed(spec.seed, trial), FAMILIES.index(spec.family), d, n)
+    return (trial_seed(args.seed, trial), FAMILIES.index(args.family), d, n)
 
 
 def cdf_breakpoints(sorted_values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -101,7 +78,7 @@ def validate_cdf_file(path: str) -> None:
 
 
 def _run_trial(
-    spec: ExperimentSpec,
+    args,
     s: np.ndarray,
     true_vec: np.ndarray,
     cfg: RecoveryConfig,
@@ -110,56 +87,52 @@ def _run_trial(
     trial: int,
 ) -> TrialResult:
     start = time.perf_counter()
-    y = sample(s, n, spec.entry, _data_seed(spec, d, n, trial))
+    y = sample(s, n, args.entry_dist, _data_seed(args, d, n, trial))
     recovered = estimate_spectrum(y, cfg)
     empirical = empirical_spectrum(y)
     w1_rec = l1_sorted(recovered, true_vec) / d
     w1_emp = l1_sorted(empirical, true_vec) / d
     runtime_ms = (time.perf_counter() - start) * 1000.0
 
-    stem = os.path.join(spec.out_dir, f"cdf_{spec.family}_d{d}_n{n}_trial{trial}")
+    stem = os.path.join(args.out, f"cdf_{args.family}_d{d}_n{n}_trial{trial}")
     for label, vec in (("true", true_vec), ("empirical", empirical), ("recovered", recovered)):
         xs, fs = cdf_breakpoints(vec)
         write_cdf_csv(f"{stem}_{label}.csv", xs, fs)
-    return TrialResult(spec.family, d, n, trial, w1_rec, w1_emp, runtime_ms)
+    return TrialResult(args.family, d, n, trial, w1_rec, w1_emp, runtime_ms)
 
 
-def run_experiment(spec: ExperimentSpec) -> tuple[list[TrialResult], list[str]]:
-    """Run every (d, n, trial) cell; returns results plus failure notes.
+def run_experiment(args) -> tuple[list[TrialResult], list[str]]:
+    """Run every (d, n, trial) cell of a parsed ``simulate`` command line.
 
-    Every model and config is built before the output directory is
-    created, so a bad family/dimension pair or bound leaves nothing behind.
+    Returns results plus failure notes. Every model, config and sample
+    count is checked before the output directory is created, so a bad
+    family/dimension pair, bound or ratio leaves nothing behind.
     """
     dims = []
-    for d in spec.d_values:
-        model = CovarianceModel(spec.family, d)
+    for d in args.d:
+        model = CovarianceModel(args.family, d)
         true_vec = true_spectrum(model)
-        cfg = RecoveryConfig(
-            b=spec.b if spec.b is not None else float(true_vec[-1]),
-            k_max=spec.k_max,
-            mesh_cap=spec.mesh_cap,
-            weight_scheme=spec.weight_scheme,
-        )
+        cfg = RecoveryConfig(b=args.b if args.b is not None else float(true_vec[-1]), k_max=args.k)
+        if not all(math.isfinite(ratio * d) for ratio in args.n_ratio):
+            raise ValueError(f"an n ratio times d={d} overflows to infinity")
         dims.append((model, true_vec, cfg))
-    os.makedirs(spec.out_dir, exist_ok=True)
+    os.makedirs(args.out, exist_ok=True)
     results: list[TrialResult] = []
     failures: list[str] = []
     for model, true_vec, cfg in dims:
         d = model.d
         s = factor(model)
-        for ratio in spec.n_ratios:
+        for ratio in args.n_ratio:
             n = max(1, round(ratio * d))
-            if n < spec.k_max:
-                failures.append(
-                    f"{spec.family} d={d} n={n}: fewer samples than k_max={spec.k_max}"
-                )
+            if n < args.k:
+                failures.append(f"{args.family} d={d} n={n}: fewer samples than k_max={args.k}")
                 continue
-            for t in range(spec.trials):
+            for t in range(args.trials):
                 try:
-                    results.append(_run_trial(spec, s, true_vec, cfg, d, n, t))
+                    results.append(_run_trial(args, s, true_vec, cfg, d, n, t))
                 except Exception as exc:  # noqa: BLE001 - cell failures are enumerated, not fatal
                     failures.append(
-                        f"{spec.family} d={d} n={n} trial={t}: {type(exc).__name__}: {exc}"
+                        f"{args.family} d={d} n={n} trial={t}: {type(exc).__name__}: {exc}"
                     )
     results.sort(key=lambda r: (r.family, r.d, r.n, r.trial))
     return results, failures
@@ -223,7 +196,10 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: 1/8 1/4 1/2 1 2)",
     )
     sim.add_argument("--trials", type=_positive_int, default=5, help="trials per cell (default 5)")
-    sim.add_argument("--k", type=_positive_int, default=7, help="highest moment order (default 7)")
+    sim.add_argument(
+        "--k", type=_positive_int, default=RecoveryConfig.k_max,
+        help="highest moment order (default %(default)s)",
+    )
     sim.add_argument(
         "--b", type=float, default=None,
         help="eigenvalue upper bound; default: the model's true top eigenvalue",
@@ -231,21 +207,20 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--entry-dist", choices=ENTRY_KINDS, default="gaussian")
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--out", required=True, help="output directory")
-    sim.add_argument("--mesh-cap", type=_positive_int, default=4001)
-    sim.add_argument("--weights", choices=("theoretical", "uniform"), default="theoretical")
     sim.set_defaults(func=cmd_simulate)
 
     est = sub.add_parser("estimate", help="estimate a spectrum from a CSV sample matrix")
     est.add_argument("input", help="CSV file, one sample per line, no header")
-    est.add_argument("--k", type=_positive_int, default=7, help="highest moment order (default 7)")
+    est.add_argument(
+        "--k", type=_positive_int, default=RecoveryConfig.k_max,
+        help="highest moment order (default %(default)s)",
+    )
     est.add_argument(
         "--b", type=float, default=None,
         help="eigenvalue upper bound; omitted: 2x the top empirical eigenvalue "
         "(heuristic, not a guarantee)",
     )
     est.add_argument("--out", default=None, help="write estimates here instead of stdout")
-    est.add_argument("--mesh-cap", type=_positive_int, default=4001)
-    est.add_argument("--weights", choices=("theoretical", "uniform"), default="theoretical")
     est.set_defaults(func=cmd_estimate)
 
     low = sub.add_parser(
@@ -259,22 +234,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_simulate(args) -> int:
-    spec = ExperimentSpec(
-        family=args.family,
-        d_values=tuple(args.d or (512,)),
-        n_ratios=tuple(args.n_ratio or (0.125, 0.25, 0.5, 1.0, 2.0)),
-        trials=args.trials,
-        k_max=args.k,
-        b=args.b,
-        entry=args.entry_dist,
-        seed=args.seed,
-        out_dir=args.out,
-        mesh_cap=args.mesh_cap,
-        weight_scheme=args.weights,
-    )
+    # Defaults for the repeatable options: an argparse default list would
+    # be appended to rather than replaced.
+    args.d = args.d or [512]
+    args.n_ratio = args.n_ratio or [0.125, 0.25, 0.5, 1.0, 2.0]
     try:
-        results, failures = run_experiment(spec)
-        write_summary(os.path.join(spec.out_dir, "summary.csv"), results)
+        results, failures = run_experiment(args)
+        write_summary(os.path.join(args.out, "summary.csv"), results)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -307,10 +273,7 @@ def cmd_estimate(args) -> int:
                 "(2x top empirical eigenvalue); pass --b for a guaranteed bound",
                 file=sys.stderr,
             )
-        cfg = RecoveryConfig(
-            b=b, k_max=args.k, mesh_cap=args.mesh_cap, weight_scheme=args.weights
-        )
-        spectrum = estimate_spectrum(y, cfg)
+        spectrum = estimate_spectrum(y, RecoveryConfig(b=b, k_max=args.k))
     except (ValueError, NonFiniteError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

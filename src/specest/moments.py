@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import gram, strict_upper
+from .linalg import _as_matrix, gram, strict_upper
 from .synth import CovarianceModel, factor, sample
 
 __all__ = [
@@ -138,7 +138,7 @@ def estimate_moments(y, k_max: int, b: float = 1.0) -> MomentEstimate:
     -------
     MomentEstimate
     """
-    y = np.asarray(y, dtype=float)
+    y = _as_matrix(y, "data matrix")
     n, d = y.shape
     _validate_k(n, k_max)
     if not 0 < b < math.inf:

@@ -20,6 +20,7 @@ from .moments import MomentEstimate, estimate_moments
 from .wasserstein import _quantiles
 
 __all__ = [
+    "MESH_CAP",
     "RecoveryConfig",
     "Mesh",
     "SpectralDistribution",
@@ -33,6 +34,10 @@ __all__ = [
 
 WEIGHT_SCHEMES = ("theoretical", "uniform")
 
+# The largest number of points the recovery mesh may have; larger problems
+# get a coarser mesh.
+MESH_CAP = 4001
+
 # Moment values below this floor stop sharpening their weight; keeps
 # weights finite when an estimated moment is zero or negative.
 WEIGHT_FLOOR = 1e-6
@@ -43,13 +48,12 @@ class RecoveryConfig:
     """Tuning knobs for spectrum recovery.
 
     b must upper bound the population eigenvalues for the guarantees to
-    mean anything. The mesh step is 1/max(d, n), coarsened to mesh_cap
+    mean anything. The mesh step is 1/max(d, n), coarsened to MESH_CAP
     points when that step would need more.
     """
 
     b: float
     k_max: int = 7
-    mesh_cap: int = 4001
     weight_scheme: str = "theoretical"
 
     def __post_init__(self) -> None:
@@ -57,8 +61,6 @@ class RecoveryConfig:
             raise ValueError(f"eigenvalue bound must be positive and finite, got b={self.b}")
         if self.k_max < 1:
             raise ValueError(f"k_max must be >= 1, got {self.k_max}")
-        if self.mesh_cap < 2:
-            raise ValueError(f"mesh_cap must be >= 2, got {self.mesh_cap}")
         if self.weight_scheme not in WEIGHT_SCHEMES:
             raise ValueError(
                 f"unknown weight scheme {self.weight_scheme!r}, expected one of {WEIGHT_SCHEMES}"
@@ -70,7 +72,6 @@ class Mesh:
     """Uniform mesh over [0, 1] plus how it was arrived at."""
 
     points: np.ndarray
-    step: float
     coarsened: bool
 
 
@@ -98,21 +99,17 @@ class SpectralDistribution:
             raise ValueError(f"masses must sum to 1 within 1e-9, got {total!r}")
 
 
-def build_mesh(cfg: RecoveryConfig, problem_size: int) -> Mesh:
+def build_mesh(problem_size: int) -> Mesh:
     """Uniform mesh {0, step, ..., 1} on the b-rescaled domain.
 
-    The step is 1/problem_size. When that would exceed cfg.mesh_cap
-    points the mesh is coarsened to exactly mesh_cap points and flagged
-    as such. Both endpoints 0 and 1 are always present.
+    The step is 1/problem_size. When that would exceed MESH_CAP points
+    the mesh is coarsened to exactly MESH_CAP points and flagged as
+    such. Both endpoints 0 and 1 are always present.
     """
     if problem_size < 1:
         raise ValueError(f"problem size must be >= 1, got {problem_size}")
-    intervals = min(problem_size, cfg.mesh_cap - 1)
-    return Mesh(
-        points=np.linspace(0.0, 1.0, intervals + 1),
-        step=1.0 / intervals,
-        coarsened=intervals < problem_size,
-    )
+    intervals = min(problem_size, MESH_CAP - 1)
+    return Mesh(points=np.linspace(0.0, 1.0, intervals + 1), coarsened=intervals < problem_size)
 
 
 def default_weights(n: int, d: int, k_max: int, values) -> np.ndarray:
@@ -145,7 +142,7 @@ def recover_distribution(estimate: MomentEstimate, cfg: RecoveryConfig) -> Spect
         raise ValueError(
             f"estimate carries {estimate.k_max} moments but config needs {cfg.k_max}"
         )
-    mesh = build_mesh(cfg, problem_size=max(estimate.n, estimate.d))
+    mesh = build_mesh(problem_size=max(estimate.n, estimate.d))
     target = estimate.values[: cfg.k_max]
     if cfg.weight_scheme == "uniform":
         weights = np.ones(cfg.k_max)
@@ -173,13 +170,9 @@ def estimate_spectrum(y, cfg: RecoveryConfig) -> np.ndarray:
     Returns an ascending length-d vector in original eigenvalue units
     (quantiles of the recovered distribution rescaled by cfg.b).
     """
-    y = np.asarray(y, dtype=float)
-    if y.ndim != 2:
-        raise ValueError(f"data matrix must be 2-dimensional, got shape {y.shape}")
-    d = y.shape[1]
     est = estimate_moments(y, cfg.k_max, cfg.b)
     dist = recover_distribution(est, cfg)
-    return quantile_vector(dist, d) * cfg.b
+    return quantile_vector(dist, est.d) * cfg.b
 
 
 def default_eigenvalue_bound(y) -> float:

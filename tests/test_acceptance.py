@@ -255,7 +255,7 @@ def test_criterion_8_lp_feed_through_and_optimality():
     # scheme is exercised by the experiment criteria above.
     rng = np.random.default_rng(801)
     cfg = RecoveryConfig(b=1.0, weight_scheme="uniform")
-    mesh_points = build_mesh(cfg, problem_size=64).points
+    mesh_points = build_mesh(problem_size=64).points
     worst_w1 = 0.0
     for _ in range(40):
         t = int(rng.integers(1, 4))

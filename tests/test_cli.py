@@ -4,14 +4,18 @@ Everything runs in-process through main(argv) so exit codes, stdout,
 stderr and emitted files are all observable without subprocesses.
 """
 
+import argparse
 import csv
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from specest.cli import (
     SUMMARY_COLUMNS,
+    build_parser,
     cdf_breakpoints,
     main,
     validate_cdf_file,
@@ -195,12 +199,15 @@ class TestSimulate:
         assert capsys.readouterr().err.count("error:") == 1
         assert not out.exists()
 
-    @pytest.mark.parametrize("ratio", ["1/0", "inf", "nan", "-inf"])
+    # 1e308 parses, but n = ratio * d overflows; that is caught after parsing.
+    @pytest.mark.parametrize("ratio", ["1/0", "inf", "nan", "-inf", "1e308"])
     def test_zero_denominator_or_non_finite_ratio_is_usage_error(self, tmp_path, capsys, ratio):
         out = tmp_path / "run"
-        with pytest.raises(SystemExit) as exc:
-            main(["simulate", "--family", "identity", "--n-ratio", ratio, "--out", str(out)])
-        assert exc.value.code == 2
+        try:
+            code = main(["simulate", "--family", "identity", "--n-ratio", ratio, "--out", str(out)])
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 2
         assert capsys.readouterr().err.count("error:") == 1
         assert not out.exists()
 
@@ -361,3 +368,19 @@ class TestLowerBound:
         code = main(["lower-bound", "--k", "4", "--out", str(tmp_path / "missing" / "o.json")])
         assert code == 2
         assert capsys.readouterr().err.count("error:") == 1
+
+
+def test_readme_names_every_option():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    (subparsers,) = [
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    missing = [
+        f"{name} {option}"
+        for name, sub in subparsers.choices.items()
+        for action in sub._actions
+        if not isinstance(action, argparse._HelpAction)
+        for option in action.option_strings
+        if not re.search(rf"(?<![\w-]){re.escape(option)}(?![\w-])", readme)
+    ]
+    assert not missing, f"options missing from README.md: {missing}"

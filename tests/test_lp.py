@@ -250,7 +250,7 @@ def two_spike_fit():
     y = sample(factor(CovarianceModel("two_spike", d)), n, "gaussian", seed=3)
     cfg = RecoveryConfig(b=2.0)
     est = estimate_moments(y, cfg.k_max, cfg.b)
-    mesh = build_mesh(cfg, problem_size=max(n, d))
+    mesh = build_mesh(problem_size=max(n, d))
     return WeightedL1Problem(mesh.points, est.values, default_weights(n, d, cfg.k_max, est.values))
 
 

@@ -164,6 +164,11 @@ class TestEstimateMoments:
         with pytest.raises(ValueError, match="finite"):
             estimate_moments(np.ones((4, 2)), 2, b)
 
+    @pytest.mark.parametrize("shape", [(5,), (2, 8, 3)])
+    def test_rejects_non_2d_input(self, shape):
+        with pytest.raises(ValueError, match="2-dimensional"):
+            estimate_moments(np.ones(shape), 2)
+
 
 class TestEmpiricalMoment:
     def test_matches_dense_power_trace(self):

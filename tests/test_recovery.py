@@ -12,6 +12,7 @@ import pytest
 from specest.linalg import empirical_spectrum
 from specest.moments import MomentEstimate, estimate_moments
 from specest.recovery import (
+    MESH_CAP,
     WEIGHT_FLOOR,
     Mesh,
     RecoveryConfig,
@@ -48,7 +49,7 @@ class TestRecoveryConfig:
     def test_defaults(self):
         cfg = RecoveryConfig(b=2.0)
         assert cfg.k_max == 7
-        assert cfg.mesh_cap == 4001
+        assert MESH_CAP == 4001
         assert cfg.weight_scheme == "theoretical"
 
     def test_rejects_bad_b(self):
@@ -67,36 +68,36 @@ class TestRecoveryConfig:
 
 class TestBuildMesh:
     def test_half_step(self):
-        mesh = build_mesh(RecoveryConfig(b=1.0), problem_size=2)
+        mesh = build_mesh(problem_size=2)
         np.testing.assert_allclose(mesh.points, [0.0, 0.5, 1.0])
         assert not mesh.coarsened
 
     def test_default_step_is_inverse_problem_size(self):
-        mesh = build_mesh(RecoveryConfig(b=3.0), problem_size=100)
-        assert mesh.step == pytest.approx(0.01)
+        mesh = build_mesh(problem_size=100)
+        assert np.diff(mesh.points) == pytest.approx(0.01)
         assert mesh.points.size == 101
 
     def test_cap_binds_at_large_dimension(self):
-        mesh = build_mesh(RecoveryConfig(b=1.0), problem_size=4096)
+        mesh = build_mesh(problem_size=4096)
         assert mesh.coarsened
         assert mesh.points.size == 4001
-        assert mesh.step == pytest.approx(1.0 / 4000)
+        assert np.diff(mesh.points) == pytest.approx(1.0 / 4000)
 
     def test_endpoints_always_present(self):
         for size in (1, 3, 14, 4096):
-            mesh = build_mesh(RecoveryConfig(b=1.0), problem_size=size)
+            mesh = build_mesh(problem_size=size)
             assert mesh.points[0] == 0.0
             assert mesh.points[-1] == 1.0
 
     def test_never_coarser_than_requested(self):
         for size in (1, 2, 3, 14, 49, 4000):
-            mesh = build_mesh(RecoveryConfig(b=1.0), problem_size=size)
-            assert mesh.step <= 1.0 / size + 1e-12
+            mesh = build_mesh(problem_size=size)
+            assert (np.diff(mesh.points) <= 1.0 / size + 1e-12).all()
             assert not mesh.coarsened
 
     def test_needs_problem_size_without_step(self):
         with pytest.raises(ValueError, match="problem size"):
-            build_mesh(RecoveryConfig(b=1.0), problem_size=0)
+            build_mesh(problem_size=0)
 
 
 class TestDefaultWeights:
@@ -174,7 +175,7 @@ class TestRecoverDistribution:
         # 1e-7 on the high moments and can leave them unresolved)
         rng = np.random.default_rng(50)
         cfg = RecoveryConfig(b=1.0, weight_scheme="uniform")
-        mesh_points = build_mesh(cfg, problem_size=64).points
+        mesh_points = build_mesh(problem_size=64).points
         for _ in range(25):
             t = int(rng.integers(1, 4))
             idx = rng.choice(mesh_points.size, size=t, replace=False)
@@ -306,8 +307,12 @@ class TestEstimateSpectrum:
         np.testing.assert_allclose(out_uniform, np.full(8, 0.5 * b / 2), atol=1e-12)
 
     def test_rejects_1d_input(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="2-dimensional"):
             estimate_spectrum(np.ones(5), RecoveryConfig(b=1.0))
+
+    def test_rejects_3d_input(self):
+        with pytest.raises(ValueError, match="2-dimensional"):
+            estimate_spectrum(np.ones((2, 8, 3)), RecoveryConfig(b=1.0))
 
 
 class TestDefaultEigenvalueBound:
