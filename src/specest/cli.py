@@ -115,15 +115,20 @@ def run_experiment(args) -> tuple[list[TrialResult], list[str]]:
         cfg = RecoveryConfig(b=args.b if args.b is not None else float(true_vec[-1]), k_max=args.k)
         if not all(math.isfinite(ratio * d) for ratio in args.n_ratio):
             raise ValueError(f"an n ratio times d={d} overflows to infinity")
-        dims.append((model, true_vec, cfg))
+        ns = [max(1, round(ratio * d)) for ratio in args.n_ratio]
+        # numpy's own array-size limit, for the n x d float64 sample matrix.
+        if max(ns) * d * 8 > np.iinfo(np.intp).max:
+            raise ValueError(
+                f"an n ratio at d={d} gives n={max(ns):.3g}, past numpy's array-size limit"
+            )
+        dims.append((model, true_vec, cfg, ns))
     os.makedirs(args.out, exist_ok=True)
     results: list[TrialResult] = []
     failures: list[str] = []
-    for model, true_vec, cfg in dims:
+    for model, true_vec, cfg, ns in dims:
         d = model.d
         s = factor(model)
-        for ratio in args.n_ratio:
-            n = max(1, round(ratio * d))
+        for n in ns:
             if n < args.k:
                 failures.append(f"{args.family} d={d} n={n}: fewer samples than k_max={args.k}")
                 continue

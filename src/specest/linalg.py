@@ -17,7 +17,6 @@ __all__ = [
     "strict_upper",
     "empirical_spectrum",
     "load_matrix_csv",
-    "save_matrix_csv",
 ]
 
 
@@ -109,12 +108,3 @@ def load_matrix_csv(path) -> np.ndarray:
     if not rows:
         raise ValueError("no data rows found")
     return np.asarray(rows, dtype=float)
-
-
-def save_matrix_csv(path, y) -> None:
-    """Write a matrix in the same CSV layout ``load_matrix_csv`` reads."""
-    arr = _as_matrix(y, "matrix")
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in arr:
-            fh.write(",".join(repr(float(v)) for v in row))
-            fh.write("\n")

@@ -25,27 +25,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import _as_matrix, gram, strict_upper
-from .synth import CovarianceModel, factor, sample
 
 __all__ = [
-    "ResourceLimitError",
     "MomentEstimate",
-    "MonteCarloStats",
     "binomial",
     "trial_seed",
     "estimate_moments",
-    "empirical_moment",
-    "brute_force_increasing",
-    "monte_carlo_variance",
 ]
-
-# Exhaustive cycle enumeration is quadratic-to-exponential in disguise;
-# refuse anything past this many tuples.
-MAX_BRUTE_FORCE_CYCLES = 10**6
-
-
-class ResourceLimitError(RuntimeError):
-    """The requested computation exceeds a hard resource guard."""
 
 
 def binomial(n: int, k: int) -> float:
@@ -86,12 +72,6 @@ class MomentEstimate:
     @property
     def k_max(self) -> int:
         return int(self.values.size)
-
-
-@dataclass(frozen=True)
-class MonteCarloStats:
-    mean: float
-    variance: float
 
 
 def _cycle_traces(a: np.ndarray, k_max: int) -> np.ndarray:
@@ -150,83 +130,3 @@ def estimate_moments(y, k_max: int, b: float = 1.0) -> MomentEstimate:
     ks = np.arange(1, k_max + 1)
     denom = d * np.array([binomial(n, int(k)) for k in ks])
     return MomentEstimate(values=traces / denom, n=n, d=d, scale=float(b))
-
-
-def empirical_moment(y, k: int) -> float:
-    """k-th spectral moment of the empirical covariance Y^T Y / n.
-
-    The plug-in quantity (1/d) * tr((Y^T Y / n)^k). Biased upward for
-    k >= 2 at finite n; included as the baseline the unbiased estimator
-    is compared against.
-    """
-    y = np.asarray(y, dtype=float)
-    n, d = y.shape
-    _validate_k(n, k)
-    if k == 1:
-        # Same arithmetic as estimate_moments(y, 1): tr(Y^T Y) = tr(Y Y^T).
-        return float(np.trace(gram(y)) / (d * binomial(n, 1)))
-    small = gram(y) if n <= d else gram(y.T)
-    vals = np.clip(np.linalg.eigvalsh(small), 0.0, None) / n
-    return float(np.sum(vals**k) / d)
-
-
-def brute_force_increasing(a, k: int, *, max_cycles: int = MAX_BRUTE_FORCE_CYCLES) -> float:
-    """Average cycle product over increasing k-tuples, by enumeration.
-
-    Exhaustive reference implementation of the quantity the trace
-    formula computes in closed form; only usable while C(n, k) stays
-    under ``max_cycles``.
-
-    Raises
-    ------
-    ResourceLimitError
-        If C(n, k) exceeds ``max_cycles``.
-    ValueError
-        If k < 1 or k > n.
-    """
-    from itertools import combinations
-
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"need a square matrix, got shape {a.shape}")
-    n = a.shape[0]
-    _validate_k(n, k)
-    count = math.comb(n, k)
-    if count > max_cycles:
-        raise ResourceLimitError(
-            f"C({n}, {k}) = {count} increasing cycles exceeds limit {max_cycles}"
-        )
-    total = 0.0
-    for tup in combinations(range(n), k):
-        prod = a[tup[-1], tup[0]]
-        for j in range(k - 1):
-            prod *= a[tup[j], tup[j + 1]]
-        total += prod
-    return total / count
-
-
-def monte_carlo_variance(
-    model: CovarianceModel,
-    n: int,
-    k: int,
-    trials: int,
-    seed: int,
-    entry="gaussian",
-) -> MonteCarloStats:
-    """Mean and sample variance of the k-th moment estimate over fresh data draws.
-
-    Trial i draws its data with seed ``trial_seed(seed, i)``, so runs
-    are reproducible and trials could be farmed out independently.
-
-    Requires trials >= 100; below that the variance estimate is too
-    noisy to be meaningful.
-    """
-    if trials < 100:
-        raise ValueError(f"need at least 100 trials, got {trials}")
-    _validate_k(n, k)
-    s = factor(model)
-    vals = np.empty(trials)
-    for i in range(trials):
-        y = sample(s, n, entry, trial_seed(seed, i))
-        vals[i] = estimate_moments(y, k).values[k - 1]
-    return MonteCarloStats(mean=float(vals.mean()), variance=float(vals.var(ddof=1)))

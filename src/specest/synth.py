@@ -8,8 +8,11 @@ recovery error can be measured exactly:
 * ``uniform_spectrum``  eigenvalues 2i/d for i = 1..d
 * ``toeplitz``          Sigma[i, j] = 0.3^|i - j| (``TOEPLITZ_RHO``)
 
-Data is generated as Y = X S where X has i.i.d. zero-mean unit-variance
-entries and S^T S equals the model covariance.
+Data is generated as Y = X Sigma^(1/2) where X has i.i.d. zero-mean
+unit-variance entries. The three diagonal families carry their square
+root as the length-d vector sqrt(lambda), applied by scaling the columns
+of X; ``toeplitz`` carries the d x d symmetric square root, applied by a
+matrix product.
 """
 
 from __future__ import annotations
@@ -114,17 +117,18 @@ def covariance(model: CovarianceModel) -> np.ndarray:
 
 
 def factor(model: CovarianceModel) -> np.ndarray:
-    """A matrix S with S^T S equal to the model covariance.
+    """The square root of the model covariance, in the form ``sample`` takes.
 
-    Diagonal families use diag(sqrt(lambda)); the toeplitz family uses
-    the symmetric square root, so S^T S = S S^T = Sigma either way.
+    Diagonal families give the length-d vector sqrt(lambda), which stands
+    for diag(sqrt(lambda)); the toeplitz family gives the d x d symmetric
+    square root S, with S^T S = S S^T = Sigma.
     """
     if model.family == "toeplitz":
         sigma = covariance(model)
         vals, vecs = np.linalg.eigh(sigma)
         vals = np.clip(vals, 0.0, None)
         return (vecs * np.sqrt(vals)) @ vecs.T
-    return np.diag(np.sqrt(true_spectrum(model)))
+    return np.sqrt(true_spectrum(model))
 
 
 def draw_entry_matrix(entry, n: int, d: int, seed) -> np.ndarray:
@@ -139,11 +143,15 @@ def draw_entry_matrix(entry, n: int, d: int, seed) -> np.ndarray:
 def sample(s: np.ndarray, n: int, entry, seed) -> np.ndarray:
     """Draw n samples Y = X S with i.i.d. entries in X.
 
+    ``s`` is a ``factor``: a length-d vector scales the columns of X,
+    which is bit for bit X @ diag(s), and a d x d matrix multiplies it.
     Deterministic given ``seed``; the same seed always yields the same
     data matrix.
     """
     s = np.asarray(s, dtype=float)
-    if s.ndim != 2:
-        raise ValueError(f"factor must be 2-dimensional, got shape {s.shape}")
+    if s.ndim not in (1, 2):
+        raise ValueError(
+            f"factor must be a length-d vector or a d x d matrix, got shape {s.shape}"
+        )
     x = draw_entry_matrix(entry, n, s.shape[0], seed)
-    return x @ s
+    return x * s if s.ndim == 1 else x @ s

@@ -15,13 +15,7 @@ import numpy as np
 from specest.chebyshev import chebyshev_construction, moments_of
 from specest.linalg import empirical_spectrum, strict_upper
 from specest.lp import WeightedL1Problem, solve
-from specest.moments import (
-    MomentEstimate,
-    brute_force_increasing,
-    estimate_moments,
-    monte_carlo_variance,
-    trial_seed,
-)
+from specest.moments import MomentEstimate, estimate_moments, trial_seed
 from specest.recovery import RecoveryConfig, build_mesh, recover_distribution
 from specest.synth import CovarianceModel, factor, sample, true_spectrum
 from specest.wasserstein import (
@@ -31,6 +25,8 @@ from specest.wasserstein import (
     quantize,
     w1,
 )
+
+from helpers import brute_force_increasing, monte_carlo_variance
 
 
 def report(index, label, ok, detail):

@@ -21,8 +21,9 @@ from specest.cli import (
     validate_cdf_file,
     write_cdf_csv,
 )
-from specest.linalg import save_matrix_csv
 from specest.recovery import RecoveryConfig, estimate_spectrum
+
+from helpers import save_matrix_csv
 
 
 def read_summary(path):
@@ -200,11 +201,20 @@ class TestSimulate:
         assert not out.exists()
 
     # 1e308 parses, but n = ratio * d overflows; that is caught after parsing.
-    @pytest.mark.parametrize("ratio", ["1/0", "inf", "nan", "-inf", "1e308"])
-    def test_zero_denominator_or_non_finite_ratio_is_usage_error(self, tmp_path, capsys, ratio):
+    # 1e300 and 1e17 at d=16 give a finite n past numpy's array-size limit.
+    @pytest.mark.parametrize(
+        "ratio, dims",
+        [pytest.param(r, [], id=r) for r in ("1/0", "inf", "nan", "-inf", "1e308", "1e300")]
+        + [pytest.param("1e17", ["--d", "16"], id="1e17")],
+    )
+    def test_zero_denominator_or_non_finite_ratio_is_usage_error(
+        self, tmp_path, capsys, ratio, dims
+    ):
         out = tmp_path / "run"
         try:
-            code = main(["simulate", "--family", "identity", "--n-ratio", ratio, "--out", str(out)])
+            code = main(
+                ["simulate", "--family", "identity", "--n-ratio", ratio, *dims, "--out", str(out)]
+            )
         except SystemExit as exc:
             code = exc.code
         assert code == 2

@@ -8,9 +8,10 @@ from specest.linalg import (
     empirical_spectrum,
     gram,
     load_matrix_csv,
-    save_matrix_csv,
     strict_upper,
 )
+
+from helpers import save_matrix_csv
 
 
 class TestGram:

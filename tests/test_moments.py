@@ -11,17 +11,15 @@ import numpy as np
 import pytest
 
 from specest.linalg import gram
-from specest.moments import (
-    MomentEstimate,
+from specest.moments import MomentEstimate, binomial, estimate_moments, trial_seed
+from specest.synth import CovarianceModel, factor, sample
+
+from helpers import (
     ResourceLimitError,
-    binomial,
     brute_force_increasing,
     empirical_moment,
-    estimate_moments,
     monte_carlo_variance,
-    trial_seed,
 )
-from specest.synth import CovarianceModel, factor, sample
 
 
 def kth_moment(y, k):

@@ -75,12 +75,19 @@ class TestCovarianceAndFactor:
             model = CovarianceModel(family, 10)
             s = factor(model)
             sigma = covariance(model)
-            err = np.linalg.norm(s.T @ s - sigma) / np.linalg.norm(sigma)
+            square = np.diag(s**2) if s.ndim == 1 else s.T @ s
+            err = np.linalg.norm(square - sigma) / np.linalg.norm(sigma)
             assert err < 1e-8, family
 
     def test_diagonal_families_have_diagonal_factor(self):
-        s = factor(CovarianceModel("two_spike", 4))
-        np.testing.assert_array_equal(s, np.diag(np.diag(s)))
+        model = CovarianceModel("two_spike", 4)
+        s = factor(model)
+        assert s.ndim == 1
+        np.testing.assert_array_equal(s, np.sqrt(true_spectrum(model)))
+
+    def test_diagonal_factor_stays_a_vector_at_large_d(self):
+        # A d x d diagonal factor would be 128 MB here.
+        assert factor(CovarianceModel("two_spike", 4096)).nbytes == 4096 * 8
 
 
 class TestEntryDistributions:
@@ -145,3 +152,16 @@ class TestSampling:
     def test_rejects_bad_shape(self):
         with pytest.raises(ValueError):
             draw_entry_matrix("gaussian", 0, 4, seed=0)
+
+    @pytest.mark.parametrize("s", [np.float64(1.0), np.ones((2, 2, 2))])
+    def test_rejects_factor_that_is_neither_vector_nor_matrix(self, s):
+        with pytest.raises(ValueError, match="length-d vector or a d x d matrix"):
+            sample(s, 3, "gaussian", seed=0)
+
+    @pytest.mark.parametrize("n", [5, 40])
+    @pytest.mark.parametrize("kind", ENTRY_KINDS)
+    @pytest.mark.parametrize("family", ["identity", "two_spike", "uniform_spectrum"])
+    def test_diagonal_sampling_equals_dense_product_bit_for_bit(self, family, kind, n):
+        model = CovarianceModel(family, 16)
+        dense = draw_entry_matrix(kind, n, 16, 7) @ np.diag(np.sqrt(true_spectrum(model)))
+        assert np.array_equal(sample(factor(model), n, kind, 7), dense)
