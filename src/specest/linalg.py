@@ -45,9 +45,12 @@ def gram(y) -> np.ndarray:
     arr = _as_matrix(y, "data matrix")
     if not np.isfinite(arr).all():
         raise NonFiniteError("data matrix contains non-finite entries")
+    if not (arr.flags.c_contiguous or arr.flags.f_contiguous):
+        arr = np.ascontiguousarray(arr)
+    # On one contiguous buffer, numpy computes x @ x.T as a symmetric
+    # rank-k update and mirrors the triangle, so both triangles carry the
+    # same rounding. A strided x would reach BLAS as two separate copies.
     a = arr @ arr.T
-    # Symmetrize so both triangles carry the same rounding.
-    a = 0.5 * (a + a.T)
     if not np.isfinite(a).all():
         raise NonFiniteError("gram matrix overflowed to non-finite values")
     return a

@@ -13,6 +13,19 @@ with G the strict upper triangle of A,
 
     sum over increasing k-tuples = tr(G^(k-1) A).
 
+Two exact identities make those traces cheap. Since A = diag(A) + G + G^T
+and every power G^m (m >= 1) is strictly upper triangular,
+
+    tr(G^m A) = <G^m, G>,
+
+an elementwise inner product; and splitting m = h + p,
+
+    tr(G^(h+p) A) = <G^p, G (G^h)^T>.
+
+With h = floor(k_max / 2), the powers G^2..G^h and one pass of
+G (G^h)^T give every trace up to k_max: floor(k_max / 2) products in
+all (none for k_max <= 2), each on triangular factors.
+
 The average requires no bias correction at any sample size, which is
 what makes the estimator usable when n is far below d.
 """
@@ -24,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _as_matrix, gram, strict_upper
+from .linalg import _as_matrix, gram
 
 __all__ = [
     "MomentEstimate",
@@ -74,20 +87,54 @@ class MomentEstimate:
         return int(self.values.size)
 
 
+# Row-block height of the triangular products; 128 and 512 time the same.
+_BLOCK = 256
+
+
+def _row_blocks(n: int):
+    for i in range(0, n, _BLOCK):
+        yield i, min(i + _BLOCK, n)
+
+
 def _cycle_traces(a: np.ndarray, k_max: int) -> np.ndarray:
     """tr(G^(k-1) A) for k = 1..k_max, where G = strict_upper(a).
 
-    Accumulates powers of G left to right, one matrix product per
-    additional k, rather than forming explicit matrix powers.
+    Overwrites ``a`` with G: past the trace of A, only its strict upper
+    triangle is needed. With h = k_max // 2, the traces for k = 2..h+1
+    come from tr(G^m A) = <G^m, G> over the powers G..G^h, and the rest
+    from tr(G^(h+p) A) = <G^p, G (G^h)^T>, p = 1..k_max-1-h, with
+    G (G^h)^T formed one row block at a time. That is k_max // 2 matrix
+    products (none for k_max <= 2), and h n x n arrays are live at once.
+
+    Row block [i, j) of a strictly upper triangular factor is zero left
+    of column i + 1, so every product reads only columns i: of its
+    operands, about a third of the flops of a dense n x n product.
     """
-    g = strict_upper(a)
-    out = np.empty(k_max)
+    n = a.shape[0]
+    out = np.zeros(k_max)
     out[0] = np.trace(a)
-    f = None
-    for k in range(2, k_max + 1):
-        f = g if f is None else f @ g
-        # tr(F A) with A symmetric
-        out[k - 1] = float(np.sum(f * a))
+    if k_max == 1:
+        return out
+    g = a
+    for i, j in _row_blocks(n):
+        g[i:j, :i] = 0.0
+        g[i:j, i:j] = np.triu(g[i:j, i:j], 1)
+    h = k_max // 2
+    powers = [g]
+    for _ in range(h - 1):
+        power = np.zeros(g.shape)
+        for i, j in _row_blocks(n):
+            np.matmul(powers[-1][i:j, i:], g[i:, i:], out=power[i:j, i:])
+        powers.append(power)
+    for m, power in enumerate(powers, start=1):
+        out[m] = np.vdot(power, g)
+    rest = k_max - 1 - h
+    if rest:
+        top = powers[-1]
+        for i, j in _row_blocks(n):
+            w = g[i:j, i:] @ top[i:, i:].T
+            for p, power in enumerate(powers[:rest], start=1):
+                out[h + p] += np.vdot(power[i:j, i:], w)
     return out
 
 
@@ -124,8 +171,10 @@ def estimate_moments(y, k_max: int, b: float = 1.0) -> MomentEstimate:
     if not 0 < b < math.inf:
         raise ValueError(f"scale must be positive and finite, got b={b}")
     # Scaling the gram matrix by 1/b is the same map as scaling the
-    # samples by 1/sqrt(b), one n^2 pass instead of an n*d pass.
-    a = gram(y) / b
+    # samples by 1/sqrt(b), one n^2 pass instead of an n*d pass. In place,
+    # so one n x n array is live; _cycle_traces then overwrites it with G.
+    a = gram(y)
+    a /= b
     traces = _cycle_traces(a, k_max)
     ks = np.arange(1, k_max + 1)
     denom = d * np.array([binomial(n, int(k)) for k in ks])

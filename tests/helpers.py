@@ -1,8 +1,9 @@
 """Reference implementations and utilities that only the tests use.
 
 None of this is part of the library: the exhaustive cycle enumeration,
-the plug-in moment baseline and the Monte-Carlo variance loop check the
-estimator, and ``save_matrix_csv`` writes fixtures for the CLI tests.
+the dense product traces, the plug-in moment baseline and the Monte-Carlo
+variance loop check the estimator, and ``save_matrix_csv`` writes fixtures
+for the CLI tests.
 """
 
 from __future__ import annotations
@@ -80,6 +81,22 @@ def brute_force_increasing(a, k: int, *, max_cycles: int = MAX_BRUTE_FORCE_CYCLE
             prod *= a[tup[j], tup[j + 1]]
         total += prod
     return total / count
+
+
+def product_traces(a, k_max: int) -> np.ndarray:
+    """tr(G^(k-1) A) for k = 1..k_max, G = strict upper triangle of ``a``.
+
+    Dense reference for the cycle-trace kernel: the products are taken
+    as H <- G H from H = A, and each trace read off the diagonal.
+    """
+    a = np.asarray(a, dtype=float)
+    g = np.triu(a, 1)
+    h = a
+    traces = [np.trace(a)]
+    for _ in range(2, k_max + 1):
+        h = g @ h
+        traces.append(np.trace(h))
+    return np.array(traces)
 
 
 def monte_carlo_variance(

@@ -27,8 +27,20 @@ class TestGram:
     def test_exactly_symmetric(self):
         rng = np.random.default_rng(8)
         y = rng.standard_normal((40, 17))
-        a = gram(y)
-        assert np.array_equal(a, a.T)
+        wide = rng.standard_normal((300, 700))
+        layouts = {
+            "C-ordered": y,
+            "Fortran-ordered": np.asfortranarray(y),
+            "transposed": y.T,
+            "strided": y[:, ::2],
+            "C-ordered, wide": wide,
+            "Fortran-ordered, wide": np.asfortranarray(wide),
+            "transposed, wide": wide.T,
+            "strided, wide": wide[:, ::3],
+        }
+        for layout, x in layouts.items():
+            a = gram(x)
+            assert np.array_equal(a, a.T), layout
 
     def test_shape_is_row_count_squared(self):
         y = np.ones((6, 300))

@@ -6,10 +6,12 @@ exact homogeneity of degree 2k in the samples.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from specest import moments
 from specest.linalg import gram
 from specest.moments import MomentEstimate, binomial, estimate_moments, trial_seed
 from specest.synth import CovarianceModel, factor, sample
@@ -19,6 +21,7 @@ from helpers import (
     brute_force_increasing,
     empirical_moment,
     monte_carlo_variance,
+    product_traces,
 )
 
 
@@ -166,6 +169,45 @@ class TestEstimateMoments:
     def test_rejects_non_2d_input(self, shape):
         with pytest.raises(ValueError, match="2-dimensional"):
             estimate_moments(np.ones(shape), 2)
+
+
+class TestCycleTraceKernel:
+    """The row-block kernel across block boundaries and ragged last blocks."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 255, 256, 257, 513, 700])
+    def test_matches_dense_products(self, n):
+        rng = np.random.default_rng(40 + n)
+        d, b = 48, 2.5
+        y = rng.standard_normal((n, d))
+        a = gram(y) / b
+        for k_max in range(1, min(n, 9) + 1):
+            denom = d * np.array([binomial(n, k) for k in range(1, k_max + 1)])
+            ref = product_traces(a, k_max) / denom
+            got = estimate_moments(y, k_max, b).values
+            np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("block", [1, 3, 7])
+    def test_small_blocks_match_brute_force(self, block, monkeypatch):
+        monkeypatch.setattr(moments, "_BLOCK", block)
+        rng = np.random.default_rng(41)
+        for n in (1, 2, 5, 8, 10):
+            y = rng.standard_normal((n, 4))
+            a = gram(y)
+            for k_max in range(1, n + 1):
+                got = estimate_moments(y, k_max).values
+                ref = [brute_force_increasing(a, k) / 4 for k in range(1, k_max + 1)]
+                np.testing.assert_allclose(got, ref, rtol=1e-10, atol=1e-12)
+
+    def test_peak_memory_within_four_gram_sized_arrays(self):
+        n = 1024
+        y = np.random.default_rng(42).standard_normal((n, 512))
+        tracemalloc.start()
+        try:
+            estimate_moments(y, 7, 3.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 8 * n * n + 64 * 1024
 
 
 class TestEmpiricalMoment:
