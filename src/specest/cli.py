@@ -9,7 +9,6 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,17 +24,6 @@ from .synth import ENTRY_KINDS, FAMILIES, CovarianceModel, factor, sample, true_
 from .wasserstein import l1_sorted, w1
 
 SUMMARY_COLUMNS = ("family", "d", "n", "trial", "w1_recovered", "w1_empirical", "runtime_ms")
-
-
-@dataclass(frozen=True)
-class TrialResult:
-    family: str
-    d: int
-    n: int
-    trial: int
-    w1_recovered: float
-    w1_empirical: float
-    runtime_ms: float
 
 
 def _data_seed(args, d: int, n: int, trial: int) -> tuple[int, int, int, int]:
@@ -59,24 +47,6 @@ def write_cdf_csv(path: str, xs: np.ndarray, cdf: np.ndarray) -> None:
             writer.writerow([repr(float(x)), repr(float(f))])
 
 
-def validate_cdf_file(path: str) -> None:
-    """Re-read an emitted CDF file and check it is monotone and ends at 1."""
-    with open(path, "r", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["x", "cdf"]:
-            raise ValueError(f"{path}: bad header {header}")
-        rows = [(float(a), float(b)) for a, b in reader]
-    xs = np.array([r[0] for r in rows])
-    fs = np.array([r[1] for r in rows])
-    if (np.diff(xs) <= 0).any():
-        raise ValueError(f"{path}: breakpoints not strictly ascending")
-    if (np.diff(fs) < -1e-12).any():
-        raise ValueError(f"{path}: CDF not nondecreasing")
-    if abs(fs[-1] - 1.0) > 1e-9:
-        raise ValueError(f"{path}: CDF ends at {fs[-1]!r}, expected 1")
-
-
 def _run_trial(
     args,
     s: np.ndarray,
@@ -85,7 +55,8 @@ def _run_trial(
     d: int,
     n: int,
     trial: int,
-) -> TrialResult:
+) -> list:
+    """One simulated trial: writes its three CDF files, returns its summary row."""
     start = time.perf_counter()
     y = sample(s, n, args.entry_dist, _data_seed(args, d, n, trial))
     recovered = estimate_spectrum(y, cfg)
@@ -98,15 +69,16 @@ def _run_trial(
     for label, vec in (("true", true_vec), ("empirical", empirical), ("recovered", recovered)):
         xs, fs = cdf_breakpoints(vec)
         write_cdf_csv(f"{stem}_{label}.csv", xs, fs)
-    return TrialResult(args.family, d, n, trial, w1_rec, w1_emp, runtime_ms)
+    return [args.family, d, n, trial, repr(w1_rec), repr(w1_emp), repr(round(runtime_ms, 3))]
 
 
-def run_experiment(args) -> tuple[list[TrialResult], list[str]]:
+def run_experiment(args) -> tuple[list[list], list[str]]:
     """Run every (d, n, trial) cell of a parsed ``simulate`` command line.
 
-    Returns results plus failure notes. Every model, config and sample
-    count is checked before the output directory is created, so a bad
-    family/dimension pair, bound or ratio leaves nothing behind.
+    Returns the summary rows (``SUMMARY_COLUMNS``) plus failure notes.
+    Every model, config and sample count is checked before the output
+    directory is created, so a bad family/dimension pair, bound or ratio
+    leaves nothing behind.
     """
     dims = []
     for d in args.d:
@@ -123,7 +95,7 @@ def run_experiment(args) -> tuple[list[TrialResult], list[str]]:
             )
         dims.append((model, true_vec, cfg, ns))
     os.makedirs(args.out, exist_ok=True)
-    results: list[TrialResult] = []
+    rows: list[list] = []
     failures: list[str] = []
     for model, true_vec, cfg, ns in dims:
         d = model.d
@@ -134,31 +106,20 @@ def run_experiment(args) -> tuple[list[TrialResult], list[str]]:
                 continue
             for t in range(args.trials):
                 try:
-                    results.append(_run_trial(args, s, true_vec, cfg, d, n, t))
+                    rows.append(_run_trial(args, s, true_vec, cfg, d, n, t))
                 except Exception as exc:  # noqa: BLE001 - cell failures are enumerated, not fatal
                     failures.append(
                         f"{args.family} d={d} n={n} trial={t}: {type(exc).__name__}: {exc}"
                     )
-    results.sort(key=lambda r: (r.family, r.d, r.n, r.trial))
-    return results, failures
+    rows.sort(key=lambda r: r[:4])
+    return rows, failures
 
 
-def write_summary(path: str, results: list[TrialResult]) -> None:
+def write_summary(path: str, rows: list[list]) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(SUMMARY_COLUMNS)
-        for r in results:
-            writer.writerow(
-                [
-                    r.family,
-                    r.d,
-                    r.n,
-                    r.trial,
-                    repr(r.w1_recovered),
-                    repr(r.w1_empirical),
-                    repr(round(r.runtime_ms, 3)),
-                ]
-            )
+        writer.writerows(rows)
 
 
 def _parse_ratio(text: str) -> float:
@@ -243,12 +204,8 @@ def cmd_simulate(args) -> int:
     # be appended to rather than replaced.
     args.d = args.d or [512]
     args.n_ratio = args.n_ratio or [0.125, 0.25, 0.5, 1.0, 2.0]
-    try:
-        results, failures = run_experiment(args)
-        write_summary(os.path.join(args.out, "summary.csv"), results)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    rows, failures = run_experiment(args)
+    write_summary(os.path.join(args.out, "summary.csv"), rows)
     for note in failures:
         print(f"failed: {note}", file=sys.stderr)
     return 0 if not failures else 1
@@ -266,37 +223,27 @@ def cmd_estimate(args) -> int:
             f"error: k_max={args.k} exceeds the sample count n={n}", file=sys.stderr
         )
         return 2
-    # The loader rejects non-finite fields, so a NonFiniteError below means
-    # the gram of finite input overflowed: an input error as well.
-    try:
-        if args.b is not None:
-            b = args.b
-        else:
-            b = default_eigenvalue_bound(y)
-            print(
-                f"note: using heuristic eigenvalue bound b={b!r} "
-                "(2x top empirical eigenvalue); pass --b for a guaranteed bound",
-                file=sys.stderr,
-            )
-        spectrum = estimate_spectrum(y, RecoveryConfig(b=b, k_max=args.k))
-    except (ValueError, NonFiniteError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    return _emit("".join(f"{repr(float(v))}\n" for v in spectrum), args.out)
+    if args.b is not None:
+        b = args.b
+    else:
+        b = default_eigenvalue_bound(y)
+        print(
+            f"note: using heuristic eigenvalue bound b={b!r} "
+            "(2x top empirical eigenvalue); pass --b for a guaranteed bound",
+            file=sys.stderr,
+        )
+    spectrum = estimate_spectrum(y, RecoveryConfig(b=b, k_max=args.k))
+    _emit("".join(f"{repr(float(v))}\n" for v in spectrum), args.out)
+    return 0
 
 
-def _emit(text: str, path: str | None) -> int:
-    """Write ``text`` to ``path``, or to stdout without one; returns the exit code."""
+def _emit(text: str, path: str | None) -> None:
+    """Write ``text`` to ``path``, or to stdout without one."""
     if not path:
         sys.stdout.write(text)
-        return 0
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    return 0
+        return
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
 
 
 def _check_dict(check) -> dict:
@@ -350,15 +297,18 @@ def cmd_lower_bound(args) -> int:
             ["bounds_all_ok", "", str(bounds.all_ok), ""],
         ]
         text = "\n".join(",".join(str(c) for c in row) for row in rows) + "\n"
-    return _emit(text, args.out)
+    _emit(text, args.out)
+    return 0
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # Bad values, unwritable paths and data whose gram or moments overflow
+    # (the loader rejects non-finite fields) are all input errors.
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError, NonFiniteError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -14,7 +14,6 @@ import numpy as np
 __all__ = [
     "NonFiniteError",
     "gram",
-    "strict_upper",
     "empirical_spectrum",
     "load_matrix_csv",
 ]
@@ -33,13 +32,6 @@ def _as_matrix(a, name: str = "matrix") -> np.ndarray:
     return arr
 
 
-def _require_square(a: np.ndarray, name: str = "matrix") -> np.ndarray:
-    arr = _as_matrix(a, name)
-    if arr.shape[0] != arr.shape[1]:
-        raise ValueError(f"{name} must be square, got shape {arr.shape}")
-    return arr
-
-
 def gram(y) -> np.ndarray:
     """Gram matrix of the rows of ``y``: out[i, j] = <row i, row j>."""
     arr = _as_matrix(y, "data matrix")
@@ -54,12 +46,6 @@ def gram(y) -> np.ndarray:
     if not np.isfinite(a).all():
         raise NonFiniteError("gram matrix overflowed to non-finite values")
     return a
-
-
-def strict_upper(a) -> np.ndarray:
-    """Copy of ``a`` with the diagonal and lower triangle zeroed."""
-    arr = _require_square(a)
-    return np.triu(arr, k=1)
 
 
 def empirical_spectrum(y) -> np.ndarray:

@@ -58,7 +58,8 @@ class WeightedL1Problem:
             raise ValueError("weights must match target in shape")
         if not np.isfinite(weights).all() or (weights <= 0).any():
             raise ValueError("weights must be finite and strictly positive")
-        object.__setattr__(self, "moment_matrix", _mesh_powers(mesh, target.size))
+        powers = np.vander(mesh, target.size + 1, increasing=True)[:, 1:]
+        object.__setattr__(self, "moment_matrix", np.ascontiguousarray(powers.T))
 
     @property
     def k(self) -> int:
@@ -72,14 +73,6 @@ class WeightedL1Problem:
         """Weighted L1 moment mismatch of a given mass vector."""
         residual = self.moment_matrix @ np.asarray(masses, dtype=float) - self.target
         return float(self.weights @ np.abs(residual))
-
-
-def _mesh_powers(mesh: np.ndarray, k: int) -> np.ndarray:
-    out = np.empty((k, mesh.size))
-    out[0] = mesh
-    for i in range(1, k):
-        out[i] = out[i - 1] * mesh
-    return out
 
 
 @dataclass(frozen=True)

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _as_matrix, gram
+from .linalg import NonFiniteError, _as_matrix, gram
 
 __all__ = [
     "MomentEstimate",
@@ -62,14 +62,14 @@ class MomentEstimate:
     """Moment estimates for k = 1..k_max plus the context they came from.
 
     ``values[k-1]`` estimates the k-th spectral moment of the covariance
-    after eigenvalues are divided by ``scale``, i.e. of the spectrum
-    mapped into [0, 1] when ``scale`` really is an upper bound.
+    after eigenvalues are divided by the bound b given to
+    ``estimate_moments``, i.e. of the spectrum mapped into [0, 1] when b
+    really is an upper bound.
     """
 
     values: np.ndarray
     n: int
     d: int
-    scale: float = 1.0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
@@ -79,8 +79,6 @@ class MomentEstimate:
             raise ValueError(f"n and d must be positive, got n={self.n} d={self.d}")
         if self.k_max > self.n:
             raise ValueError(f"k_max={self.k_max} exceeds sample count n={self.n}")
-        if not self.scale > 0:
-            raise ValueError(f"scale must be positive, got {self.scale}")
 
     @property
     def k_max(self) -> int:
@@ -164,6 +162,11 @@ def estimate_moments(y, k_max: int, b: float = 1.0) -> MomentEstimate:
     Returns
     -------
     MomentEstimate
+
+    Raises
+    ------
+    NonFiniteError
+        If the gram matrix or the moments overflow, as a tiny b makes them.
     """
     y = _as_matrix(y, "data matrix")
     n, d = y.shape
@@ -176,6 +179,7 @@ def estimate_moments(y, k_max: int, b: float = 1.0) -> MomentEstimate:
     a = gram(y)
     a /= b
     traces = _cycle_traces(a, k_max)
-    ks = np.arange(1, k_max + 1)
-    denom = d * np.array([binomial(n, int(k)) for k in ks])
-    return MomentEstimate(values=traces / denom, n=n, d=d, scale=float(b))
+    values = traces / (d * np.array([binomial(n, k) for k in range(1, k_max + 1)]))
+    if not np.isfinite(values).all():
+        raise NonFiniteError(f"moment estimates overflowed to non-finite values at b={b!r}")
+    return MomentEstimate(values=values, n=n, d=d)

@@ -22,7 +22,6 @@ from .wasserstein import _quantiles
 __all__ = [
     "MESH_CAP",
     "RecoveryConfig",
-    "Mesh",
     "SpectralDistribution",
     "build_mesh",
     "default_weights",
@@ -68,14 +67,6 @@ class RecoveryConfig:
 
 
 @dataclass(frozen=True)
-class Mesh:
-    """Uniform mesh over [0, 1] plus how it was arrived at."""
-
-    points: np.ndarray
-    coarsened: bool
-
-
-@dataclass(frozen=True)
 class SpectralDistribution:
     """Masses on a mesh over [0, 1], with solve metadata attached."""
 
@@ -99,17 +90,17 @@ class SpectralDistribution:
             raise ValueError(f"masses must sum to 1 within 1e-9, got {total!r}")
 
 
-def build_mesh(problem_size: int) -> Mesh:
+def build_mesh(problem_size: int) -> np.ndarray:
     """Uniform mesh {0, step, ..., 1} on the b-rescaled domain.
 
     The step is 1/problem_size. When that would exceed MESH_CAP points
-    the mesh is coarsened to exactly MESH_CAP points and flagged as
-    such. Both endpoints 0 and 1 are always present.
+    the mesh is coarsened to exactly MESH_CAP points, which happens
+    exactly when problem_size >= MESH_CAP. Both endpoints 0 and 1 are
+    always present.
     """
     if problem_size < 1:
         raise ValueError(f"problem size must be >= 1, got {problem_size}")
-    intervals = min(problem_size, MESH_CAP - 1)
-    return Mesh(points=np.linspace(0.0, 1.0, intervals + 1), coarsened=intervals < problem_size)
+    return np.linspace(0.0, 1.0, min(problem_size, MESH_CAP - 1) + 1)
 
 
 def default_weights(n: int, d: int, k_max: int, values) -> np.ndarray:
@@ -142,20 +133,20 @@ def recover_distribution(estimate: MomentEstimate, cfg: RecoveryConfig) -> Spect
         raise ValueError(
             f"estimate carries {estimate.k_max} moments but config needs {cfg.k_max}"
         )
-    mesh = build_mesh(problem_size=max(estimate.n, estimate.d))
+    problem_size = max(estimate.n, estimate.d)
+    mesh = build_mesh(problem_size)
     target = estimate.values[: cfg.k_max]
     if cfg.weight_scheme == "uniform":
         weights = np.ones(cfg.k_max)
     else:
         weights = default_weights(estimate.n, estimate.d, cfg.k_max, estimate.values)
-    problem = lp.WeightedL1Problem(mesh=mesh.points, target=target, weights=weights)
-    sol = lp.solve(problem)
+    sol = lp.solve(lp.WeightedL1Problem(mesh=mesh, target=target, weights=weights))
     return SpectralDistribution(
-        support=mesh.points,
+        support=mesh,
         masses=sol.masses,
         lp_status=sol.status,
         lp_objective=sol.objective,
-        mesh_coarsened=mesh.coarsened,
+        mesh_coarsened=problem_size >= MESH_CAP,
     )
 
 

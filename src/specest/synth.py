@@ -26,7 +26,6 @@ __all__ = [
     "FAMILIES",
     "ENTRY_KINDS",
     "CovarianceModel",
-    "EntryDistribution",
     "entry_distribution",
     "true_spectrum",
     "covariance",
@@ -56,39 +55,20 @@ class CovarianceModel:
             raise ValueError("two_spike requires an even dimension")
 
 
-@dataclass(frozen=True)
-class EntryDistribution:
-    """Zero-mean unit-variance entry law with its known fourth moment."""
-
-    kind: str
-    fourth_moment: float
-
-    def draw(self, rng: np.random.Generator, n: int, d: int) -> np.ndarray:
-        if self.kind == "gaussian":
-            return rng.standard_normal((n, d))
-        if self.kind == "rademacher":
-            return 2.0 * rng.integers(0, 2, size=(n, d)).astype(float) - 1.0
-        if self.kind == "uniform_scaled":
-            half = math.sqrt(3.0)
-            return rng.uniform(-half, half, size=(n, d))
-        raise ValueError(f"unknown entry distribution {self.kind!r}")
-
-
-_ENTRY_DISTRIBUTIONS = {
-    "gaussian": EntryDistribution("gaussian", 3.0),
-    "rademacher": EntryDistribution("rademacher", 1.0),
-    "uniform_scaled": EntryDistribution("uniform_scaled", 9.0 / 5.0),
+# Zero-mean unit-variance entry laws, each an (rng, n, d) -> n x d draw.
+_ENTRY_DRAWS = {
+    "gaussian": lambda rng, n, d: rng.standard_normal((n, d)),
+    "rademacher": lambda rng, n, d: 2.0 * rng.integers(0, 2, size=(n, d)).astype(float) - 1.0,
+    "uniform_scaled": lambda rng, n, d: rng.uniform(-math.sqrt(3.0), math.sqrt(3.0), size=(n, d)),
 }
 
-ENTRY_KINDS = tuple(_ENTRY_DISTRIBUTIONS)
+ENTRY_KINDS = tuple(_ENTRY_DRAWS)
 
 
-def entry_distribution(kind) -> EntryDistribution:
-    """Look up an entry distribution by name (passes through instances)."""
-    if isinstance(kind, EntryDistribution):
-        return kind
+def entry_distribution(kind: str):
+    """The draw function (rng, n, d) -> n x d array of the named entry law."""
     try:
-        return _ENTRY_DISTRIBUTIONS[kind]
+        return _ENTRY_DRAWS[kind]
     except KeyError:
         raise ValueError(
             f"unknown entry distribution {kind!r}, expected one of {ENTRY_KINDS}"
@@ -135,9 +115,8 @@ def draw_entry_matrix(entry, n: int, d: int, seed) -> np.ndarray:
     """The raw n x d i.i.d. entry matrix X, before covariance shaping."""
     if n < 1 or d < 1:
         raise ValueError(f"matrix shape must be positive, got ({n}, {d})")
-    dist = entry_distribution(entry)
-    rng = np.random.default_rng(seed)
-    return dist.draw(rng, n, d)
+    draw = entry_distribution(entry)
+    return draw(np.random.default_rng(seed), n, d)
 
 
 def sample(s: np.ndarray, n: int, entry, seed) -> np.ndarray:

@@ -13,7 +13,6 @@ import numpy as np
 
 __all__ = [
     "PointMassDistribution",
-    "from_sorted_vector",
     "w1",
     "l1_sorted",
     "quantize",
@@ -58,14 +57,6 @@ class PointMassDistribution:
         merged = np.zeros(keep.sum())
         np.add.at(merged, idx, mass)
         return locs[keep], merged
-
-
-def from_sorted_vector(values) -> PointMassDistribution:
-    """Distribution placing equal mass 1/d on each of d given values."""
-    vals = np.asarray(values, dtype=float)
-    if vals.ndim != 1 or vals.size < 1:
-        raise ValueError("need a non-empty 1-d vector")
-    return PointMassDistribution(vals, np.full(vals.size, 1.0 / vals.size))
 
 
 def w1(p: PointMassDistribution, q: PointMassDistribution) -> float:

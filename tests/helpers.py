@@ -1,13 +1,16 @@
 """Reference implementations and utilities that only the tests use.
 
 None of this is part of the library: the exhaustive cycle enumeration,
-the dense product traces, the plug-in moment baseline and the Monte-Carlo
-variance loop check the estimator, and ``save_matrix_csv`` writes fixtures
-for the CLI tests.
+the dense product traces, ``strict_upper``, the plug-in moment baseline
+and the Monte-Carlo variance loop check the estimator;
+``from_sorted_vector`` checks the W1 identities; ``save_matrix_csv``
+writes fixtures for the CLI tests and ``validate_cdf_file`` re-reads
+what they emit.
 """
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass
 from itertools import combinations
@@ -17,6 +20,7 @@ import numpy as np
 from specest.linalg import _as_matrix, gram
 from specest.moments import _validate_k, binomial, estimate_moments, trial_seed
 from specest.synth import CovarianceModel, factor, sample
+from specest.wasserstein import PointMassDistribution
 
 # Exhaustive cycle enumeration is quadratic-to-exponential in disguise;
 # refuse anything past this many tuples.
@@ -83,6 +87,19 @@ def brute_force_increasing(a, k: int, *, max_cycles: int = MAX_BRUTE_FORCE_CYCLE
     return total / count
 
 
+def _require_square(a, name: str = "matrix") -> np.ndarray:
+    arr = _as_matrix(a, name)
+    if arr.shape[0] != arr.shape[1]:
+        raise ValueError(f"{name} must be square, got shape {arr.shape}")
+    return arr
+
+
+def strict_upper(a) -> np.ndarray:
+    """Copy of ``a`` with the diagonal and lower triangle zeroed."""
+    arr = _require_square(a)
+    return np.triu(arr, k=1)
+
+
 def product_traces(a, k_max: int) -> np.ndarray:
     """tr(G^(k-1) A) for k = 1..k_max, G = strict upper triangle of ``a``.
 
@@ -133,3 +150,29 @@ def save_matrix_csv(path, y) -> None:
         for row in arr:
             fh.write(",".join(repr(float(v)) for v in row))
             fh.write("\n")
+
+
+def validate_cdf_file(path: str) -> None:
+    """Re-read an emitted CDF file and check it is monotone and ends at 1."""
+    with open(path, "r", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        if header != ["x", "cdf"]:
+            raise ValueError(f"{path}: bad header {header}")
+        rows = [(float(a), float(b)) for a, b in reader]
+    xs = np.array([r[0] for r in rows])
+    fs = np.array([r[1] for r in rows])
+    if (np.diff(xs) <= 0).any():
+        raise ValueError(f"{path}: breakpoints not strictly ascending")
+    if (np.diff(fs) < -1e-12).any():
+        raise ValueError(f"{path}: CDF not nondecreasing")
+    if abs(fs[-1] - 1.0) > 1e-9:
+        raise ValueError(f"{path}: CDF ends at {fs[-1]!r}, expected 1")
+
+
+def from_sorted_vector(values) -> PointMassDistribution:
+    """Distribution placing equal mass 1/d on each of d given values."""
+    vals = np.asarray(values, dtype=float)
+    if vals.ndim != 1 or vals.size < 1:
+        raise ValueError("need a non-empty 1-d vector")
+    return PointMassDistribution(vals, np.full(vals.size, 1.0 / vals.size))

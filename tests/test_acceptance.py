@@ -13,20 +13,19 @@ import time
 import numpy as np
 
 from specest.chebyshev import chebyshev_construction, moments_of
-from specest.linalg import empirical_spectrum, strict_upper
+from specest.linalg import empirical_spectrum
 from specest.lp import WeightedL1Problem, solve
 from specest.moments import MomentEstimate, estimate_moments, trial_seed
 from specest.recovery import RecoveryConfig, build_mesh, recover_distribution
 from specest.synth import CovarianceModel, factor, sample, true_spectrum
 from specest.wasserstein import (
     PointMassDistribution,
-    from_sorted_vector,
     l1_sorted,
     quantize,
     w1,
 )
 
-from helpers import brute_force_increasing, monte_carlo_variance
+from helpers import brute_force_increasing, from_sorted_vector, monte_carlo_variance, strict_upper
 
 
 def report(index, label, ok, detail):
@@ -251,7 +250,7 @@ def test_criterion_8_lp_feed_through_and_optimality():
     # scheme is exercised by the experiment criteria above.
     rng = np.random.default_rng(801)
     cfg = RecoveryConfig(b=1.0, weight_scheme="uniform")
-    mesh_points = build_mesh(problem_size=64).points
+    mesh_points = build_mesh(problem_size=64)
     worst_w1 = 0.0
     for _ in range(40):
         t = int(rng.integers(1, 4))

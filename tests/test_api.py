@@ -1,7 +1,11 @@
-"""The package's public surface: the documented top-level names and every module's ``__all__``."""
+"""The package's public surface (the documented top-level names and every module's
+``__all__``) and its one runtime dependency, numpy."""
 
+import ast
 import importlib
 import pkgutil
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +24,7 @@ DOCUMENTED = {
 }
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(specest.__path__))
+SOURCES = sorted(Path(specest.__file__).parent.glob("*.py"))
 
 
 def test_top_level_is_the_documented_names():
@@ -34,3 +39,18 @@ def test_module_all_resolves(module):
     mod = importlib.import_module(f"specest.{module}")
     for name in getattr(mod, "__all__", ()):
         assert hasattr(mod, name), f"specest.{module}.__all__ names missing {name!r}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_imports_only_numpy_and_the_standard_library(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    outside = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            roots = [alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            roots = [node.module.split(".")[0]]
+        else:
+            continue
+        outside += [r for r in roots if r != "numpy" and r not in sys.stdlib_module_names]
+    assert not outside, f"{path.name} imports {outside}"

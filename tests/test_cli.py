@@ -18,12 +18,11 @@ from specest.cli import (
     build_parser,
     cdf_breakpoints,
     main,
-    validate_cdf_file,
     write_cdf_csv,
 )
 from specest.recovery import RecoveryConfig, estimate_spectrum
 
-from helpers import save_matrix_csv
+from helpers import save_matrix_csv, validate_cdf_file
 
 
 def read_summary(path):
@@ -221,6 +220,15 @@ class TestSimulate:
         assert capsys.readouterr().err.count("error:") == 1
         assert not out.exists()
 
+    def test_out_naming_a_file_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        out.write_text("not a directory\n")
+        code = main(["simulate", "--family", "identity", "--d", "16", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and "failed" not in err
+        assert out.read_text() == "not a directory\n"
+
     def test_rejects_unknown_family(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["simulate", "--family", "wishart", "--out", str(tmp_path)])
@@ -312,6 +320,17 @@ class TestEstimate:
         code = main(["estimate", str(path), "--k", "2", *bound])
         assert code == 2
         assert "overflowed" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_moment_overflow_at_tiny_bound_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "y.csv"
+        save_matrix_csv(path, np.random.default_rng(63).standard_normal((16, 8)))
+        code = main(["estimate", str(path), "--b", "1e-300", "--k", "2"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.count("error:") == 1 and "b=1e-300" in captured.err
+        assert captured.out == ""
 
     @pytest.mark.parametrize("bound", ["inf", "nan"])
     def test_non_finite_bound_is_usage_error(self, tmp_path, capsys, bound):

@@ -8,10 +8,9 @@ from specest.linalg import (
     empirical_spectrum,
     gram,
     load_matrix_csv,
-    strict_upper,
 )
 
-from helpers import save_matrix_csv
+from helpers import save_matrix_csv, strict_upper
 
 
 class TestGram:

@@ -101,6 +101,19 @@ class TestProblemValidation:
         )
         assert (prob.k, prob.t) == (2, 2)
 
+    @pytest.mark.parametrize("t", [50, 65, 300, 4001])
+    def test_moment_matrix_is_repeated_products(self, t):
+        # Row i is mesh**(i+1) built by i multiplications, bit for bit, and
+        # C-ordered: the solver's products depend on both.
+        mesh = np.linspace(0.0, 1.0, t)
+        for k in range(1, 12):
+            prob = WeightedL1Problem(mesh=mesh, target=np.ones(k), weights=np.ones(k))
+            expected = [mesh]
+            for _ in range(k - 1):
+                expected.append(expected[-1] * mesh)
+            np.testing.assert_array_equal(prob.moment_matrix, expected)
+            assert prob.moment_matrix.flags.c_contiguous
+
     def test_rejects_unsorted_mesh(self):
         with pytest.raises(ValueError, match="increasing"):
             WeightedL1Problem(mesh=[1.0, 0.5], target=[0.7], weights=[1.0])
@@ -251,7 +264,7 @@ def two_spike_fit():
     cfg = RecoveryConfig(b=2.0)
     est = estimate_moments(y, cfg.k_max, cfg.b)
     mesh = build_mesh(problem_size=max(n, d))
-    return WeightedL1Problem(mesh.points, est.values, default_weights(n, d, cfg.k_max, est.values))
+    return WeightedL1Problem(mesh, est.values, default_weights(n, d, cfg.k_max, est.values))
 
 
 def assert_feasible(sol):

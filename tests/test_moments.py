@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from specest import moments
-from specest.linalg import gram
+from specest.linalg import NonFiniteError, gram
 from specest.moments import MomentEstimate, binomial, estimate_moments, trial_seed
 from specest.synth import CovarianceModel, factor, sample
 
@@ -52,10 +52,6 @@ class TestMomentEstimate:
     def test_rejects_k_max_above_n(self):
         with pytest.raises(ValueError, match="exceeds sample count"):
             MomentEstimate(values=[1.0, 0.5, 0.2], n=2, d=3)
-
-    def test_rejects_bad_scale(self):
-        with pytest.raises(ValueError, match="scale"):
-            MomentEstimate(values=[1.0], n=2, d=3, scale=0.0)
 
 
 class TestEstimateMoment:
@@ -154,7 +150,7 @@ class TestEstimateMoments:
     def test_records_context(self):
         y = np.ones((5, 3))
         est = estimate_moments(y, 2, b=2.0)
-        assert (est.n, est.d, est.scale) == (5, 3, 2.0)
+        assert (est.n, est.d) == (5, 3)
 
     def test_rejects_nonpositive_scale(self):
         with pytest.raises(ValueError, match="positive"):
@@ -164,6 +160,14 @@ class TestEstimateMoments:
     def test_rejects_non_finite_scale(self, b):
         with pytest.raises(ValueError, match="finite"):
             estimate_moments(np.ones((4, 2)), 2, b)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_overflow_at_tiny_scale_names_b(self):
+        # the gram is finite, but divided by b = 1e-300 its cycle traces overflow
+        y = np.random.default_rng(63).standard_normal((16, 8))
+        with pytest.raises(NonFiniteError, match="b=1e-300"):
+            estimate_moments(y, 7, 1e-300)
 
     @pytest.mark.parametrize("shape", [(5,), (2, 8, 3)])
     def test_rejects_non_2d_input(self, shape):

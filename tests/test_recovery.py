@@ -14,7 +14,6 @@ from specest.moments import MomentEstimate, estimate_moments
 from specest.recovery import (
     MESH_CAP,
     WEIGHT_FLOOR,
-    Mesh,
     RecoveryConfig,
     SpectralDistribution,
     build_mesh,
@@ -68,32 +67,29 @@ class TestRecoveryConfig:
 
 class TestBuildMesh:
     def test_half_step(self):
-        mesh = build_mesh(problem_size=2)
-        np.testing.assert_allclose(mesh.points, [0.0, 0.5, 1.0])
-        assert not mesh.coarsened
+        np.testing.assert_allclose(build_mesh(problem_size=2), [0.0, 0.5, 1.0])
 
     def test_default_step_is_inverse_problem_size(self):
         mesh = build_mesh(problem_size=100)
-        assert np.diff(mesh.points) == pytest.approx(0.01)
-        assert mesh.points.size == 101
+        assert np.diff(mesh) == pytest.approx(0.01)
+        assert mesh.size == 101
 
     def test_cap_binds_at_large_dimension(self):
         mesh = build_mesh(problem_size=4096)
-        assert mesh.coarsened
-        assert mesh.points.size == 4001
-        assert np.diff(mesh.points) == pytest.approx(1.0 / 4000)
+        assert mesh.size == 4001
+        assert np.diff(mesh) == pytest.approx(1.0 / 4000)
 
     def test_endpoints_always_present(self):
         for size in (1, 3, 14, 4096):
             mesh = build_mesh(problem_size=size)
-            assert mesh.points[0] == 0.0
-            assert mesh.points[-1] == 1.0
+            assert mesh[0] == 0.0
+            assert mesh[-1] == 1.0
 
     def test_never_coarser_than_requested(self):
         for size in (1, 2, 3, 14, 49, 4000):
             mesh = build_mesh(problem_size=size)
-            assert (np.diff(mesh.points) <= 1.0 / size + 1e-12).all()
-            assert not mesh.coarsened
+            assert mesh.size == size + 1
+            assert (np.diff(mesh) <= 1.0 / size + 1e-12).all()
 
     def test_needs_problem_size_without_step(self):
         with pytest.raises(ValueError, match="problem size"):
@@ -175,7 +171,7 @@ class TestRecoverDistribution:
         # 1e-7 on the high moments and can leave them unresolved)
         rng = np.random.default_rng(50)
         cfg = RecoveryConfig(b=1.0, weight_scheme="uniform")
-        mesh_points = build_mesh(problem_size=64).points
+        mesh_points = build_mesh(problem_size=64)
         for _ in range(25):
             t = int(rng.integers(1, 4))
             idx = rng.choice(mesh_points.size, size=t, replace=False)
@@ -186,6 +182,24 @@ class TestRecoverDistribution:
             est = MomentEstimate(values=vals, n=64, d=64)
             dist = recover_distribution(est, cfg)
             assert w1(as_point_mass(dist), truth) <= 3.0 / 64
+
+    # The mesh has max(n, d) + 1 points up to MESH_CAP; from max(n, d) =
+    # MESH_CAP on it is coarsened to MESH_CAP points and flagged.
+    @pytest.mark.parametrize(
+        "n, d, coarsened",
+        [
+            (64, MESH_CAP - 1, False),
+            (MESH_CAP - 1, 64, False),
+            (64, MESH_CAP, True),
+            (MESH_CAP, 64, True),
+            (256, 4096, True),
+        ],
+    )
+    def test_flags_a_coarsened_mesh(self, n, d, coarsened):
+        est = MomentEstimate(values=0.5 ** np.arange(1, 8), n=n, d=d)
+        dist = recover_distribution(est, RecoveryConfig(b=1.0))
+        assert dist.mesh_coarsened is coarsened
+        assert dist.support.size == (MESH_CAP if coarsened else max(n, d) + 1)
 
     def test_rejects_short_estimate(self):
         est = MomentEstimate(values=np.ones(3), n=64, d=64)

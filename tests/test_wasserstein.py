@@ -11,11 +11,12 @@ from scipy.optimize import linprog
 from specest.recovery import SpectralDistribution, quantile_vector
 from specest.wasserstein import (
     PointMassDistribution,
-    from_sorted_vector,
     l1_sorted,
     quantize,
     w1,
 )
+
+from helpers import from_sorted_vector
 
 
 def transport_w1(p, q):
