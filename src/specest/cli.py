@@ -246,56 +246,37 @@ def _emit(text: str, path: str | None) -> None:
         fh.write(text)
 
 
-def _check_dict(check) -> dict:
-    return {
-        "index": check.index,
-        "value": check.value,
-        "lower": check.lower,
-        "upper": check.upper,
-        "ok": check.ok,
-    }
-
-
 def cmd_lower_bound(args) -> int:
     k = args.k
-    if k < 4 or k % 2 != 0:
-        print(f"error: --k must be even and >= 4, got {k}", file=sys.stderr)
-        return 2
     p, q = chebyshev_construction(k)
     diff = np.abs(moments_of(p, k - 2) - moments_of(q, k - 2))
     separation = w1(p, q)
     threshold = 1.0 / (2 * k)
-    bounds = root_weight_bounds_check(k)
+    report = {
+        "k": k,
+        "p": {"locations": p.locations.tolist(), "masses": p.masses.tolist()},
+        "q": {"locations": q.locations.tolist(), "masses": q.masses.tolist()},
+        "moment_abs_diff": diff.tolist(),
+        "max_moment_diff": float(diff.max()),
+        "w1": separation,
+        "separation_threshold": threshold,
+        "separation_exceeds_threshold": separation > threshold,
+        "bounds": root_weight_bounds_check(k),
+    }
     if args.format == "json":
-        payload = {
-            "k": k,
-            "p": {"locations": p.locations.tolist(), "masses": p.masses.tolist()},
-            "q": {"locations": q.locations.tolist(), "masses": q.masses.tolist()},
-            "moment_abs_diff": diff.tolist(),
-            "max_moment_diff": float(diff.max()),
-            "w1": separation,
-            "separation_threshold": threshold,
-            "separation_exceeds_threshold": bool(separation > threshold),
-            "bounds": {
-                "weights": [_check_dict(c) for c in bounds.weight_checks],
-                "gaps": [_check_dict(c) for c in bounds.gap_checks],
-                "positive_weight_sum": _check_dict(bounds.normalization_check),
-                "balance_error": bounds.balance_error,
-                "all_ok": bounds.all_ok,
-            },
-        }
-        text = json.dumps(payload, indent=2) + "\n"
+        text = json.dumps(report, indent=2) + "\n"
     else:
         rows = [["kind", "index", "a", "b"]]
-        rows += [["p_atom", i, repr(x), repr(m)] for i, (x, m) in enumerate(zip(p.locations, p.masses))]
-        rows += [["q_atom", i, repr(x), repr(m)] for i, (x, m) in enumerate(zip(q.locations, q.masses))]
-        rows += [["moment_abs_diff", i + 1, repr(float(v)), ""] for i, v in enumerate(diff)]
+        for name in ("p", "q"):
+            atoms = enumerate(zip(report[name]["locations"], report[name]["masses"]))
+            rows += [[f"{name}_atom", i, repr(x), repr(m)] for i, (x, m) in atoms]
         rows += [
-            ["w1", "", repr(separation), ""],
-            ["separation_threshold", "", repr(threshold), ""],
-            ["separation_exceeds_threshold", "", str(separation > threshold), ""],
-            ["bounds_all_ok", "", str(bounds.all_ok), ""],
+            ["moment_abs_diff", i, repr(v), ""]
+            for i, v in enumerate(report["moment_abs_diff"], start=1)
         ]
+        scalars = ("w1", "separation_threshold", "separation_exceeds_threshold")
+        rows += [[key, "", repr(report[key]), ""] for key in scalars]
+        rows.append(["bounds_all_ok", "", repr(report["bounds"]["all_ok"]), ""])
         text = "\n".join(",".join(str(c) for c in row) for row in rows) + "\n"
     _emit(text, args.out)
     return 0

@@ -32,6 +32,9 @@ def _as_matrix(a, name: str = "matrix") -> np.ndarray:
     return arr
 
 
+# Overflow is checked for below and raised as NonFiniteError, so numpy's
+# own warnings would only repeat the error on stderr.
+@np.errstate(over="ignore", invalid="ignore")
 def gram(y) -> np.ndarray:
     """Gram matrix of the rows of ``y``: out[i, j] = <row i, row j>."""
     arr = _as_matrix(y, "data matrix")

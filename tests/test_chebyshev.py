@@ -5,6 +5,8 @@ Chebyshev polynomial (numpy.polynomial), not against the closed form
 used inside the module.
 """
 
+import json
+
 import numpy as np
 import pytest
 from numpy.polynomial import chebyshev
@@ -22,36 +24,34 @@ ORDERS = (4, 8, 12, 16, 20)
 
 class TestSignedMeasure:
     def test_k4_roots_literal(self):
-        m = chebyshev_signed_measure(4)
+        roots, _ = chebyshev_signed_measure(4)
         c8 = np.cos(np.pi / 8)
         c38 = np.cos(3 * np.pi / 8)
-        np.testing.assert_allclose(m.locations, [-c8, -c38, c38, c8], atol=1e-15)
+        np.testing.assert_allclose(roots, [-c8, -c38, c38, c8], atol=1e-15)
 
     def test_weights_are_inverse_derivative(self):
         for k in ORDERS:
-            m = chebyshev_signed_measure(k)
+            roots, weights = chebyshev_signed_measure(k)
             deriv = chebyshev.Chebyshev.basis(k).deriv()
-            np.testing.assert_allclose(
-                m.weights, 1.0 / deriv(m.locations), rtol=1e-12
-            )
+            np.testing.assert_allclose(weights, 1.0 / deriv(roots), rtol=1e-12)
 
     def test_locations_are_chebyshev_roots(self):
         for k in ORDERS:
-            m = chebyshev_signed_measure(k)
+            roots, _ = chebyshev_signed_measure(k)
             tk = chebyshev.Chebyshev.basis(k)
-            np.testing.assert_allclose(tk(m.locations), 0.0, atol=1e-13)
-            assert (np.diff(m.locations) > 0).all()
+            np.testing.assert_allclose(tk(roots), 0.0, atol=1e-13)
+            assert (np.diff(roots) > 0).all()
 
     def test_signs_alternate(self):
         for k in ORDERS:
-            m = chebyshev_signed_measure(k)
-            signs = np.sign(m.weights)
+            _, weights = chebyshev_signed_measure(k)
+            signs = np.sign(weights)
             assert (signs[1:] == -signs[:-1]).all()
 
     def test_weights_cancel(self):
         for k in ORDERS:
-            m = chebyshev_signed_measure(k)
-            assert abs(m.weights.sum()) <= 1e-12
+            _, weights = chebyshev_signed_measure(k)
+            assert abs(weights.sum()) <= 1e-12
 
     @pytest.mark.parametrize("k", [3, 5, 2, 0, -4])
     def test_rejects_bad_order(self, k):
@@ -114,22 +114,26 @@ class TestBoundsReport:
     @pytest.mark.parametrize("k", ORDERS)
     def test_all_bounds_hold(self, k):
         report = root_weight_bounds_check(k)
-        assert report.all_ok
-        assert report.balance_error <= 1e-12
-
-    def test_margins_are_signed_distances(self):
-        report = root_weight_bounds_check(8)
-        for check in report.weight_checks + report.gap_checks:
-            assert check.margin_lower == pytest.approx(check.value - check.lower)
-            assert check.margin_upper == pytest.approx(check.upper - check.value)
-            assert check.ok
+        assert report["all_ok"] is True
+        assert report["balance_error"] <= 1e-12
+        for check in report["weights"] + report["gaps"]:
+            assert check["ok"] is True
 
     def test_normalization_window(self):
         for k in ORDERS:
             report = root_weight_bounds_check(k)
-            assert 0.25 <= report.normalization_check.value <= 0.5
+            assert 0.25 <= report["positive_weight_sum"]["value"] <= 0.5
 
     def test_check_counts(self):
         report = root_weight_bounds_check(12)
-        assert len(report.weight_checks) == 6
-        assert len(report.gap_checks) == 6
+        assert [c["index"] for c in report["weights"]] == [1, 2, 3, 4, 5, 6]
+        assert [c["index"] for c in report["gaps"]] == [1, 2, 3, 4, 5, 6]
+
+    def test_report_is_plain_json_data(self):
+        report = root_weight_bounds_check(8)
+        assert list(report) == ["weights", "gaps", "positive_weight_sum", "balance_error", "all_ok"]
+        for check in report["weights"] + report["gaps"] + [report["positive_weight_sum"]]:
+            assert list(check) == ["index", "value", "lower", "upper", "ok"]
+            assert all(type(check[key]) is float for key in ("value", "lower", "upper"))
+            assert check["ok"] is (check["lower"] <= check["value"] <= check["upper"])
+        assert json.loads(json.dumps(report)) == report

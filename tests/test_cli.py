@@ -311,7 +311,6 @@ class TestEstimate:
         assert code == 2
         assert "line 2: non-finite" in capsys.readouterr().err
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.parametrize("bound", [[], ["--b", "1.0"]])
     def test_gram_overflow_is_input_error(self, tmp_path, capsys, bound):
         # finite entries whose squares overflow to inf in the gram
@@ -321,15 +320,14 @@ class TestEstimate:
         assert code == 2
         assert "overflowed" in capsys.readouterr().err
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
-    def test_moment_overflow_at_tiny_bound_is_input_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("bound, k", [("1e-300", "2"), ("1e-300", "7"), ("1e-310", "3")])
+    def test_moment_overflow_at_tiny_bound_is_input_error(self, tmp_path, capsys, bound, k):
         path = tmp_path / "y.csv"
         save_matrix_csv(path, np.random.default_rng(63).standard_normal((16, 8)))
-        code = main(["estimate", str(path), "--b", "1e-300", "--k", "2"])
+        code = main(["estimate", str(path), "--b", bound, "--k", k])
         assert code == 2
         captured = capsys.readouterr()
-        assert captured.err.count("error:") == 1 and "b=1e-300" in captured.err
+        assert captured.err.count("error:") == 1 and f"b={bound}" in captured.err
         assert captured.out == ""
 
     @pytest.mark.parametrize("bound", ["inf", "nan"])
@@ -374,18 +372,26 @@ class TestLowerBound:
         assert len(report["p"]["locations"]) == 2
         assert len(report["q"]["locations"]) == 2
 
-    def test_odd_k_is_usage_error(self, capsys):
-        code = main(["lower-bound", "--k", "5"])
+    @pytest.mark.parametrize("k", [5, 2, -4])
+    def test_odd_k_is_usage_error(self, capsys, k):
+        code = main(["lower-bound", "--k", str(k)])
         assert code == 2
-        assert "even" in capsys.readouterr().err
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:") and "even" in lines[0]
 
-    def test_csv_format(self, tmp_path):
+    def test_csv_format(self, tmp_path, capsys):
         out = tmp_path / "report.csv"
         code = main(["lower-bound", "--k", "6", "--format", "csv", "--out", str(out)])
         assert code == 0
         text = out.read_text()
         assert text.startswith("kind,index,a,b")
         assert "w1," in text
+        assert main(["lower-bound", "--k", "6"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        rows = list(csv.reader(text.splitlines()))
+        for name in ("p", "q"):
+            atoms = [(float(a), float(b)) for kind, _, a, b in rows if kind == f"{name}_atom"]
+            assert atoms == list(zip(report[name]["locations"], report[name]["masses"]))
 
     def test_json_file_output(self, tmp_path):
         out = tmp_path / "report.json"

@@ -161,8 +161,6 @@ class TestEstimateMoments:
         with pytest.raises(ValueError, match="finite"):
             estimate_moments(np.ones((4, 2)), 2, b)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     def test_overflow_at_tiny_scale_names_b(self):
         # the gram is finite, but divided by b = 1e-300 its cycle traces overflow
         y = np.random.default_rng(63).standard_normal((16, 8))
