@@ -76,10 +76,12 @@ def run_experiment(args) -> tuple[list[list], list[str]]:
     """Run every (d, n, trial) cell of a parsed ``simulate`` command line.
 
     Returns the summary rows (``SUMMARY_COLUMNS``) plus failure notes.
-    Every model, config and sample count is checked before the output
-    directory is created, so a bad family/dimension pair, bound or ratio
-    leaves nothing behind.
+    The seed and every model, config and sample count are checked before
+    the output directory is created, so a bad seed, family/dimension pair,
+    bound or ratio leaves nothing behind.
     """
+    if args.seed < 0:
+        raise ValueError(f"seed must be non-negative, got {args.seed}")
     dims = []
     for d in args.d:
         model = CovarianceModel(args.family, d)

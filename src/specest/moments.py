@@ -41,15 +41,9 @@ from .linalg import NonFiniteError, _as_matrix, gram
 
 __all__ = [
     "MomentEstimate",
-    "binomial",
     "trial_seed",
     "estimate_moments",
 ]
-
-
-def binomial(n: int, k: int) -> float:
-    """C(n, k) as a float, exact up to float rounding of the true integer."""
-    return float(math.comb(n, k))
 
 
 def trial_seed(seed: int, i: int) -> int:
@@ -181,7 +175,7 @@ def estimate_moments(y, k_max: int, b: float = 1.0) -> MomentEstimate:
     a = gram(y)
     a /= b
     traces = _cycle_traces(a, k_max)
-    values = traces / (d * np.array([binomial(n, k) for k in range(1, k_max + 1)]))
+    values = traces / (d * np.array([float(math.comb(n, k)) for k in range(1, k_max + 1)]))
     if not np.isfinite(values).all():
         raise NonFiniteError(f"moment estimates overflowed to non-finite values at b={b!r}")
     return MomentEstimate(values=values, n=n, d=d)

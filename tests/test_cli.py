@@ -6,6 +6,7 @@ stderr and emitted files are all observable without subprocesses.
 
 import argparse
 import csv
+import dataclasses
 import json
 import re
 from pathlib import Path
@@ -172,8 +173,14 @@ class TestSimulate:
         rows = read_summary(out / "summary.csv")[1:]
         assert [int(r[3]) for r in rows] == [0, 2]
 
-    @pytest.mark.parametrize("bound", ["inf", "nan", "-1", "0"])
-    def test_bad_bound_is_usage_error_before_any_trial(self, tmp_path, capsys, bound):
+    @pytest.mark.parametrize(
+        "option, value",
+        [pytest.param("--b", b, id=b) for b in ("inf", "nan", "-1", "0")]
+        + [pytest.param("--seed", "-1", id="seed=-1")],
+    )
+    def test_bad_bound_or_seed_is_usage_error_before_any_trial(
+        self, tmp_path, capsys, option, value
+    ):
         out = tmp_path / "run"
         code = main(
             [
@@ -182,7 +189,7 @@ class TestSimulate:
                 "--d", "16",
                 "--n-ratio", "1",
                 "--trials", "3",
-                "--b", bound,
+                option, value,
                 "--out", str(out),
             ]
         )
@@ -403,6 +410,12 @@ class TestLowerBound:
         code = main(["lower-bound", "--k", "4", "--out", str(tmp_path / "missing" / "o.json")])
         assert code == 2
         assert capsys.readouterr().err.count("error:") == 1
+
+
+def test_readme_names_every_recovery_field():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    missing = [f.name for f in dataclasses.fields(RecoveryConfig) if f"`{f.name}`" not in readme]
+    assert not missing, f"RecoveryConfig fields missing from README.md: {missing}"
 
 
 def test_readme_names_every_option():

@@ -13,7 +13,7 @@ import pytest
 
 from specest import moments
 from specest.linalg import NonFiniteError, gram
-from specest.moments import MomentEstimate, binomial, estimate_moments, trial_seed
+from specest.moments import MomentEstimate, estimate_moments, trial_seed
 from specest.synth import CovarianceModel, factor, sample
 
 from helpers import (
@@ -31,10 +31,6 @@ def kth_moment(y, k):
 
 
 class TestHelpers:
-    def test_binomial_exact(self):
-        assert binomial(10, 3) == 120.0
-        assert binomial(52, 5) == float(math.comb(52, 5))
-
     def test_trial_seed_is_xor(self):
         assert trial_seed(12, 10) == 6
         assert trial_seed(0, 7) == 7
@@ -183,7 +179,7 @@ class TestCycleTraceKernel:
         y = rng.standard_normal((n, d))
         a = gram(y) / b
         for k_max in range(1, min(n, 9) + 1):
-            denom = d * np.array([binomial(n, k) for k in range(1, k_max + 1)])
+            denom = d * np.array([float(math.comb(n, k)) for k in range(1, k_max + 1)])
             ref = product_traces(a, k_max) / denom
             got = estimate_moments(y, k_max, b).values
             np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)

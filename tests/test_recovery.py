@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from specest.linalg import empirical_spectrum
+from specest.lp import WeightedL1Problem, solve
 from specest.moments import MomentEstimate, estimate_moments
 from specest.recovery import (
     MESH_CAP,
@@ -49,7 +50,6 @@ class TestRecoveryConfig:
         cfg = RecoveryConfig(b=2.0)
         assert cfg.k_max == 7
         assert MESH_CAP == 4001
-        assert cfg.weight_scheme == "theoretical"
 
     def test_rejects_bad_b(self):
         with pytest.raises(ValueError):
@@ -59,10 +59,6 @@ class TestRecoveryConfig:
     def test_rejects_non_finite_b(self, b):
         with pytest.raises(ValueError, match="finite"):
             RecoveryConfig(b=b)
-
-    def test_rejects_bad_scheme(self):
-        with pytest.raises(ValueError, match="weight scheme"):
-            RecoveryConfig(b=1.0, weight_scheme="aggressive")
 
 
 class TestBuildMesh:
@@ -166,11 +162,11 @@ class TestRecoverDistribution:
 
     def test_feed_through_small_support(self):
         # mesh-supported distributions with <= 3 atoms and exact moments
-        # come back within 3 mesh steps; uniform weights keep all seven
-        # residuals active (the variance-scaled scheme puts weight about
-        # 1e-7 on the high moments and can leave them unresolved)
+        # come back within 3 mesh steps from the mesh LP with unit weights,
+        # which keep all seven residuals active (default_weights puts
+        # weight about 1e-7 on the high moments and can leave them
+        # unresolved)
         rng = np.random.default_rng(50)
-        cfg = RecoveryConfig(b=1.0, weight_scheme="uniform")
         mesh_points = build_mesh(problem_size=64)
         for _ in range(25):
             t = int(rng.integers(1, 4))
@@ -179,8 +175,8 @@ class TestRecoverDistribution:
             mass /= mass.sum()
             truth = PointMassDistribution(mesh_points[idx], mass)
             vals = np.array([(truth.locations**k) @ truth.masses for k in range(1, 8)])
-            est = MomentEstimate(values=vals, n=64, d=64)
-            dist = recover_distribution(est, cfg)
+            sol = solve(WeightedL1Problem(mesh=mesh_points, target=vals, weights=np.ones(7)))
+            dist = SpectralDistribution(support=mesh_points, masses=sol.masses)
             assert w1(as_point_mass(dist), truth) <= 3.0 / 64
 
     # The mesh has max(n, d) + 1 points up to MESH_CAP; from max(n, d) =
@@ -303,22 +299,18 @@ class TestEstimateSpectrum:
     def test_diagonal_sample_matrix_kills_higher_moments(self):
         # Y = sqrt(8) I_8 makes the gram matrix diagonal, so every cycle
         # estimate above k = 1 is exactly zero. The pipeline sees moment
-        # sequence (0.5, 0, 0, ...) at the heuristic b = 2 and puts the
-        # mass low: all-zero spectrum under the variance-scaled weights,
-        # all 0.5 under uniform. Neither resembles the empirical
-        # spectrum (all ones); with one effective sample per direction
-        # that information is simply not in the cycle statistics.
+        # sequence (0.5, 0, 0, ...) at the heuristic b = 2 and, under the
+        # variance-scaled weights, returns an all-zero spectrum. That does
+        # not resemble the empirical spectrum (all ones); with one
+        # effective sample per direction that information is simply not in
+        # the cycle statistics.
         y = np.sqrt(8.0) * np.eye(8)
         b = default_eigenvalue_bound(y)
         assert b == pytest.approx(2.0)
         est = estimate_moments(y, 7, b)
         np.testing.assert_allclose(est.values, [0.5, 0, 0, 0, 0, 0, 0], atol=1e-15)
-        out_theory = estimate_spectrum(y, RecoveryConfig(b=b))
-        np.testing.assert_array_equal(out_theory, np.zeros(8))
-        out_uniform = estimate_spectrum(
-            y, RecoveryConfig(b=b, weight_scheme="uniform")
-        )
-        np.testing.assert_allclose(out_uniform, np.full(8, 0.5 * b / 2), atol=1e-12)
+        out = estimate_spectrum(y, RecoveryConfig(b=b))
+        np.testing.assert_array_equal(out, np.zeros(8))
 
     def test_rejects_1d_input(self):
         with pytest.raises(ValueError, match="2-dimensional"):
