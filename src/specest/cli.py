@@ -73,9 +73,10 @@ def _run_trial(
 
 
 def run_experiment(args) -> tuple[list[list], list[str]]:
-    """Run every (d, n, trial) cell of a parsed ``simulate`` command line.
+    """Run each distinct (d, n, trial) cell of a parsed ``simulate`` line once.
 
-    Returns the summary rows (``SUMMARY_COLUMNS``) plus failure notes.
+    Returns the summary rows (``SUMMARY_COLUMNS``) in key order plus
+    failure notes.
     The seed and every model, config and sample count are checked before
     the output directory is created, so a bad seed, family/dimension pair,
     bound or ratio leaves nothing behind.
@@ -83,13 +84,13 @@ def run_experiment(args) -> tuple[list[list], list[str]]:
     if args.seed < 0:
         raise ValueError(f"seed must be non-negative, got {args.seed}")
     dims = []
-    for d in args.d:
+    for d in sorted(set(args.d)):
         model = CovarianceModel(args.family, d)
         true_vec = true_spectrum(model)
         cfg = RecoveryConfig(b=args.b if args.b is not None else float(true_vec[-1]), k_max=args.k)
         if not all(math.isfinite(ratio * d) for ratio in args.n_ratio):
             raise ValueError(f"an n ratio times d={d} overflows to infinity")
-        ns = [max(1, round(ratio * d)) for ratio in args.n_ratio]
+        ns = sorted({max(1, round(ratio * d)) for ratio in args.n_ratio})
         # numpy's own array-size limit, for the n x d float64 sample matrix.
         if max(ns) * d * 8 > np.iinfo(np.intp).max:
             raise ValueError(
@@ -113,7 +114,6 @@ def run_experiment(args) -> tuple[list[list], list[str]]:
                     failures.append(
                         f"{args.family} d={d} n={n} trial={t}: {type(exc).__name__}: {exc}"
                     )
-    rows.sort(key=lambda r: r[:4])
     return rows, failures
 
 

@@ -72,13 +72,13 @@ def empirical_spectrum(y) -> np.ndarray:
 def load_matrix_csv(path) -> np.ndarray:
     """Load a sample matrix from CSV: one sample per line, no header.
 
-    Raises ValueError naming the offending 1-based line on ragged rows,
-    unparseable fields or non-finite values (nan, inf, or a literal
-    that overflows, such as 1e999).
+    A leading UTF-8 byte-order mark is skipped. Raises ValueError naming
+    the offending 1-based line on ragged rows, unparseable fields or
+    non-finite values (nan, inf, or a literal that overflows, such as 1e999).
     """
     rows: list[list[float]] = []
     width: int | None = None
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             stripped = line.strip()
             if not stripped:

@@ -45,9 +45,7 @@ class RecoveryConfig:
     """Tuning knobs for spectrum recovery: the bound b and the moment count k_max.
 
     b must upper bound the population eigenvalues for the guarantees to
-    mean anything. The LP always weights the moments by default_weights.
-    The mesh step is 1/max(d, n), coarsened to MESH_CAP points when that
-    step would need more.
+    mean anything; k_max moments are estimated and fitted.
     """
 
     b: float
@@ -97,47 +95,44 @@ def build_mesh(problem_size: int) -> np.ndarray:
     return np.linspace(0.0, 1.0, min(problem_size, MESH_CAP - 1) + 1)
 
 
-def default_weights(n: int, d: int, k_max: int, values) -> np.ndarray:
+def default_weights(n: int, d: int, values) -> np.ndarray:
     """Variance-scaled weights 1 / (c_i * max(alpha_i, floor)).
 
     c_i = (2i)^(2i) * max(d^(i/2 - 1), 1) / n^(i/2) approximates the
     multiplicative noise scale of the i-th moment estimate, so noisier
     moments count for less in the LP objective. Computed in log space;
     only the floored moment values enter, never the raw targets.
-    ``values`` holds the moment estimates alpha_1, alpha_2, ...
+    ``values`` holds the moment estimates alpha_1, alpha_2, ...; one
+    weight is returned per value.
     """
-    if k_max < 1:
-        raise ValueError(f"k_max must be >= 1, got {k_max}")
     if n < 1 or d < 1:
         raise ValueError(f"n and d must be positive, got n={n} d={d}")
     values = np.asarray(values, dtype=float)
-    if values.size < k_max:
-        raise ValueError(f"need {k_max} moment values, got {values.size}")
-    i = np.arange(1, k_max + 1, dtype=float)
+    i = np.arange(1, values.size + 1, dtype=float)
     log_c = 2 * i * np.log(2 * i) + np.maximum((i / 2 - 1) * math.log(d), 0.0) - (i / 2) * math.log(n)
-    floored = np.maximum(values[:k_max], WEIGHT_FLOOR)
+    floored = np.maximum(values, WEIGHT_FLOOR)
     w = np.exp(-(log_c + np.log(floored)))
     # Keep weights strictly positive even when log_c is astronomical.
     return np.maximum(w, 1e-300)
 
 
-def recover_distribution(estimate: MomentEstimate, cfg: RecoveryConfig) -> SpectralDistribution:
-    """Fit a mesh distribution on [0, 1] to the moments, weighted by default_weights."""
-    if estimate.k_max < cfg.k_max:
-        raise ValueError(
-            f"estimate carries {estimate.k_max} moments but config needs {cfg.k_max}"
-        )
+def recover_distribution(estimate: MomentEstimate) -> SpectralDistribution:
+    """Fit a mesh distribution on [0, 1] to every moment in the estimate.
+
+    The moments are weighted by default_weights. The mesh step is
+    1/max(d, n), coarsened to MESH_CAP points when that step would need
+    more.
+    """
     problem_size = max(estimate.n, estimate.d)
     mesh = build_mesh(problem_size)
-    target = estimate.values[: cfg.k_max]
-    weights = default_weights(estimate.n, estimate.d, cfg.k_max, estimate.values)
-    sol = lp.solve(lp.WeightedL1Problem(mesh=mesh, target=target, weights=weights))
+    weights = default_weights(estimate.n, estimate.d, estimate.values)
+    sol = lp.solve(lp.WeightedL1Problem(mesh=mesh, target=estimate.values, weights=weights))
     return SpectralDistribution(
         support=mesh,
         masses=sol.masses,
         lp_status=sol.status,
         lp_objective=sol.objective,
-        mesh_coarsened=problem_size >= MESH_CAP,
+        mesh_coarsened=mesh.size <= problem_size,
     )
 
 
@@ -153,7 +148,7 @@ def estimate_spectrum(y, cfg: RecoveryConfig) -> np.ndarray:
     (quantiles of the recovered distribution rescaled by cfg.b).
     """
     est = estimate_moments(y, cfg.k_max, cfg.b)
-    dist = recover_distribution(est, cfg)
+    dist = recover_distribution(est)
     return quantile_vector(dist, est.d) * cfg.b
 
 

@@ -45,19 +45,6 @@ class PointMassDistribution:
         if abs(total - 1.0) > _MASS_TOL:
             raise ValueError(f"masses must sum to 1 within {_MASS_TOL}, got {total!r}")
 
-    def sorted_merged(self) -> tuple[np.ndarray, np.ndarray]:
-        """Atoms sorted by location with coincident locations merged."""
-        order = np.argsort(self.locations, kind="stable")
-        locs = self.locations[order]
-        mass = self.masses[order]
-        keep = np.empty(locs.size, dtype=bool)
-        keep[0] = True
-        keep[1:] = locs[1:] != locs[:-1]
-        idx = np.cumsum(keep) - 1
-        merged = np.zeros(keep.sum())
-        np.add.at(merged, idx, mass)
-        return locs[keep], merged
-
 
 def w1(p: PointMassDistribution, q: PointMassDistribution) -> float:
     """Wasserstein-1 distance between two point-mass distributions."""
@@ -88,11 +75,11 @@ def l1_sorted(a, b) -> float:
 
 
 def _quantiles(support: np.ndarray, masses: np.ndarray, d: int) -> np.ndarray:
-    """The i/(d+1) quantiles, i = 1..d, of ``masses`` on an ascending ``support``.
+    """The i/(d+1) quantiles, i = 1..d, of ``masses`` on a nondecreasing ``support``.
 
     Entry i is the smallest support point where the CDF reaches i/(d+1),
     so the output is ascending. Masses must be nonnegative; zero masses
-    are allowed.
+    and coincident support points are allowed.
     """
     if d < 1:
         raise ValueError(f"need d >= 1, got {d}")
@@ -107,5 +94,7 @@ def quantize(p: PointMassDistribution, d: int) -> PointMassDistribution:
 
     The result's W1 distance from ``p`` is at most (range of support)/d.
     """
-    locs, mass = p.sorted_merged()
-    return PointMassDistribution(_quantiles(locs, mass, d), np.full(d, 1.0 / d))
+    order = np.argsort(p.locations, kind="stable")
+    return PointMassDistribution(
+        _quantiles(p.locations[order], p.masses[order], d), np.full(d, 1.0 / d)
+    )

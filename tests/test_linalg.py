@@ -138,10 +138,12 @@ class TestCsvRoundTrip:
 
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "y.csv"
-        path.write_text("1.0,2.0\n\n3.0,4.0\n")
-        np.testing.assert_array_equal(
-            load_matrix_csv(path), [[1.0, 2.0], [3.0, 4.0]]
-        )
+        # also with a UTF-8 byte-order mark, as some spreadsheet exports write
+        for bom in ("", "\ufeff"):
+            path.write_text(bom + "1.0,2.0\n\n3.0,4.0\n", encoding="utf-8")
+            np.testing.assert_array_equal(
+                load_matrix_csv(path), [[1.0, 2.0], [3.0, 4.0]]
+            )
 
     def test_ragged_row_names_line(self, tmp_path):
         path = tmp_path / "y.csv"

@@ -264,7 +264,7 @@ def two_spike_fit():
     cfg = RecoveryConfig(b=2.0)
     est = estimate_moments(y, cfg.k_max, cfg.b)
     mesh = build_mesh(problem_size=max(n, d))
-    return WeightedL1Problem(mesh, est.values, default_weights(n, d, cfg.k_max, est.values))
+    return WeightedL1Problem(mesh, est.values, default_weights(n, d, est.values))
 
 
 def assert_feasible(sol):

@@ -95,30 +95,26 @@ class TestBuildMesh:
 class TestDefaultWeights:
     def test_first_weight_closed_form(self):
         # c_1 = 4/sqrt(n), so at alpha_1 = 1 the weight is sqrt(n)/4
-        w = default_weights(256, 256, 1, np.ones(1))
+        w = default_weights(256, 256, np.ones(1))
         assert w[0] == pytest.approx(4.0, rel=1e-12)
 
     def test_strictly_decreasing_at_unit_moments(self):
-        w = default_weights(256, 256, 7, np.ones(7))
+        w = default_weights(256, 256, np.ones(7))
         assert (np.diff(w) < 0).all()
 
     def test_known_values_n_d_256(self):
-        w = default_weights(256, 256, 3, np.ones(3))
+        w = default_weights(256, 256, np.ones(3))
         np.testing.assert_allclose(w, [4.0, 1.0, 1.0 / 182.25], rtol=1e-12)
 
     def test_negative_moment_hits_floor(self):
-        w_neg = default_weights(100, 100, 2, np.array([1.0, -0.3]))
-        w_floor = default_weights(100, 100, 2, np.array([1.0, WEIGHT_FLOOR]))
+        w_neg = default_weights(100, 100, np.array([1.0, -0.3]))
+        w_floor = default_weights(100, 100, np.array([1.0, WEIGHT_FLOOR]))
         assert np.isfinite(w_neg).all()
         assert (w_neg > 0).all()
         assert w_neg[1] == w_floor[1]
 
-    def test_rejects_short_vector(self):
-        with pytest.raises(ValueError, match="moment values"):
-            default_weights(64, 32, 4, np.ones(3))
-
     def test_huge_k_stays_finite(self):
-        w = default_weights(50, 50, 40, np.ones(40))
+        w = default_weights(50, 50, np.ones(40))
         assert np.isfinite(w).all()
         assert (w > 0).all()
 
@@ -140,7 +136,7 @@ class TestSpectralDistribution:
 class TestRecoverDistribution:
     def test_point_mass_at_half(self):
         est = MomentEstimate(values=0.5 ** np.arange(1, 8), n=64, d=64)
-        dist = recover_distribution(est, RecoveryConfig(b=1.0))
+        dist = recover_distribution(est)
         assert dist.lp_status == "optimal"
         target = PointMassDistribution([0.5], [1.0])
         assert w1(as_point_mass(dist), target) <= 1.0 / 64
@@ -148,7 +144,7 @@ class TestRecoverDistribution:
     def test_all_unit_moments_is_point_mass_at_one(self):
         # on [0, 1] only delta at 1 has every moment equal to 1
         est = MomentEstimate(values=np.ones(7), n=64, d=64)
-        dist = recover_distribution(est, RecoveryConfig(b=1.0))
+        dist = recover_distribution(est)
         target = PointMassDistribution([1.0], [1.0])
         assert w1(as_point_mass(dist), target) <= 1.0 / 64
 
@@ -156,7 +152,7 @@ class TestRecoverDistribution:
         # half mass at 0.5, half at 1.0 (the b = 2 rescaled two-spike law)
         vals = 0.5 * 0.5 ** np.arange(1, 8) + 0.5
         est = MomentEstimate(values=vals, n=512, d=1024)
-        dist = recover_distribution(est, RecoveryConfig(b=2.0))
+        dist = recover_distribution(est)
         target = PointMassDistribution([0.5, 1.0], [0.5, 0.5])
         assert w1(as_point_mass(dist), target) <= 0.05
 
@@ -193,19 +189,21 @@ class TestRecoverDistribution:
     )
     def test_flags_a_coarsened_mesh(self, n, d, coarsened):
         est = MomentEstimate(values=0.5 ** np.arange(1, 8), n=n, d=d)
-        dist = recover_distribution(est, RecoveryConfig(b=1.0))
+        dist = recover_distribution(est)
         assert dist.mesh_coarsened is coarsened
         assert dist.support.size == (MESH_CAP if coarsened else max(n, d) + 1)
 
-    def test_rejects_short_estimate(self):
-        est = MomentEstimate(values=np.ones(3), n=64, d=64)
-        with pytest.raises(ValueError, match="moments"):
-            recover_distribution(est, RecoveryConfig(b=1.0))
+    @pytest.mark.parametrize("k", [2, 3, 9], ids=lambda k: f"k={k}")
+    def test_fits_every_moment_the_estimate_carries(self, k):
+        est = MomentEstimate(values=0.5 ** np.arange(1, k + 1), n=64, d=64)
+        dist = recover_distribution(est)
+        target = PointMassDistribution([0.5], [1.0])
+        assert w1(as_point_mass(dist), target) == 0.0
 
     def test_negative_target_still_valid_distribution(self):
         # noisy estimates can go negative; output must stay a distribution
         est = MomentEstimate(values=np.array([0.4, -0.01, 0.002, -1e-4, 1e-5, 1e-6, 1e-7]), n=32, d=32)
-        dist = recover_distribution(est, RecoveryConfig(b=1.0))
+        dist = recover_distribution(est)
         assert (dist.masses >= 0).all()
         assert dist.masses.sum() == pytest.approx(1.0, abs=1e-9)
 
@@ -285,6 +283,19 @@ class TestEstimateSpectrum:
         a = estimate_spectrum(y, RecoveryConfig(b=2.0))
         b = estimate_spectrum(y, RecoveryConfig(b=2.0))
         np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize(
+        "family, d, n, coarsened",
+        [("two_spike", 4096, 256, True), ("toeplitz", 256, 512, False)],
+    )
+    def test_documented_pieces_compose_to_the_pipeline(self, family, d, n, coarsened):
+        # the README's call form for reaching the recovered distribution
+        model = CovarianceModel(family, d)
+        y = sample(factor(model), n, "gaussian", seed=10)
+        cfg = RecoveryConfig(b=float(true_spectrum(model)[-1]))
+        dist = recover_distribution(estimate_moments(y, cfg.k_max, cfg.b))
+        assert dist.mesh_coarsened is coarsened
+        np.testing.assert_array_equal(quantile_vector(dist, d) * cfg.b, estimate_spectrum(y, cfg))
 
     def test_scale_consistency_on_identity_data(self):
         # the same data run with b and 4b (both valid bounds) must agree

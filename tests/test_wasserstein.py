@@ -64,12 +64,6 @@ class TestPointMassDistribution:
         with pytest.raises(ValueError):
             PointMassDistribution([np.inf], [1.0])
 
-    def test_sorted_merged_combines_duplicates(self):
-        p = PointMassDistribution([1.0, 0.0, 1.0], [0.25, 0.5, 0.25])
-        locs, mass = p.sorted_merged()
-        np.testing.assert_array_equal(locs, [0.0, 1.0])
-        np.testing.assert_allclose(mass, [0.5, 0.5])
-
 
 class TestW1:
     def test_unit_separation(self):
@@ -151,10 +145,14 @@ class TestQuantize:
         np.testing.assert_allclose(q.masses, np.full(5, 0.2))
 
     def test_half_half_d2(self):
-        p = PointMassDistribution([0.0, 1.0], [0.5, 0.5])
-        q = quantize(p, 2)
-        # levels 1/3 and 2/3 land on either side of the CDF jump at 0
-        np.testing.assert_array_equal(q.locations, [0.0, 1.0])
+        # the same law given sorted, and unsorted with a split atom at 1
+        for p in (
+            PointMassDistribution([0.0, 1.0], [0.5, 0.5]),
+            PointMassDistribution([1.0, 0.0, 1.0], [0.25, 0.5, 0.25]),
+        ):
+            q = quantize(p, 2)
+            # levels 1/3 and 2/3 land on either side of the CDF jump at 0
+            np.testing.assert_array_equal(q.locations, [0.0, 1.0])
 
     def test_output_has_d_equal_masses(self):
         rng = np.random.default_rng(24)
