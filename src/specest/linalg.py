@@ -38,15 +38,17 @@ def _as_matrix(a, name: str = "matrix") -> np.ndarray:
 def gram(y) -> np.ndarray:
     """Gram matrix of the rows of ``y``: out[i, j] = <row i, row j>."""
     arr = _as_matrix(y, "data matrix")
-    if not np.isfinite(arr).all():
-        raise NonFiniteError("data matrix contains non-finite entries")
     if not (arr.flags.c_contiguous or arr.flags.f_contiguous):
         arr = np.ascontiguousarray(arr)
     # On one contiguous buffer, numpy computes x @ x.T as a symmetric
     # rank-k update and mirrors the triangle, so both triangles carry the
     # same rounding. A strided x would reach BLAS as two separate copies.
     a = arr @ arr.T
+    # A NaN or infinity in row i makes the diagonal entry sum_j y_ij^2
+    # non-finite, so the input needs a pass only when the output fails.
     if not np.isfinite(a).all():
+        if not np.isfinite(arr).all():
+            raise NonFiniteError("data matrix contains non-finite entries")
         raise NonFiniteError("gram matrix overflowed to non-finite values")
     return a
 

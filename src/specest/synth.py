@@ -13,6 +13,12 @@ unit-variance entries. The three diagonal families carry their square
 root as the length-d vector sqrt(lambda), applied by scaling the columns
 of X; ``toeplitz`` carries the d x d symmetric square root, applied by a
 matrix product.
+
+The toeplitz covariance is the Kac-Murdock-Szego matrix, whose eigen-system
+is known in closed form (Kac, Murdock & Szego 1953), so its spectrum and
+square root take no eigendecomposition: the eigen-angles come from one
+vectorised bisection, the eigenvectors from O(d^2) sines, and the square
+root from one symmetric rank-d update.
 """
 
 from __future__ import annotations
@@ -22,13 +28,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .linalg import gram
+
 __all__ = [
     "FAMILIES",
     "ENTRY_KINDS",
     "CovarianceModel",
     "entry_distribution",
     "true_spectrum",
-    "covariance",
     "factor",
     "draw_entry_matrix",
     "sample",
@@ -75,6 +82,43 @@ def entry_distribution(kind: str):
         ) from None
 
 
+def _toeplitz_angles(d: int) -> np.ndarray:
+    """The angles theta of the toeplitz eigen-system, descending.
+
+    Sigma^-1 is tridiagonal, so each eigenvalue is (1 - rho^2) /
+    (1 - 2 rho cos(theta) + rho^2), where theta is a root of
+    f(theta) = sin((d+1) theta) - 2 rho sin(d theta) + rho^2 sin((d-1) theta).
+    f has opposite signs at the ends of ((j-1) pi/d, j pi/(d+1)), j = 1..d,
+    and exactly one root inside each; all d brackets are bisected at once
+    until they are adjacent floats.
+    """
+    rho = TOEPLITZ_RHO
+
+    def f(theta):
+        return (
+            np.sin((d + 1) * theta)
+            - 2.0 * rho * np.sin(d * theta)
+            + rho**2 * np.sin((d - 1) * theta)
+        )
+
+    j = np.arange(d, 0, -1)
+    lo, hi = (j - 1) * np.pi / d, j * np.pi / (d + 1)
+    hi_negative = np.signbit(f(hi))
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not ((lo < mid) & (mid < hi)).any():
+            return mid
+        root_below = np.signbit(f(mid)) == hi_negative
+        hi = np.where(root_below, mid, hi)
+        lo = np.where(root_below, lo, mid)
+
+
+def _toeplitz_eigenvalues(theta: np.ndarray) -> np.ndarray:
+    """The toeplitz eigenvalue at each angle from ``_toeplitz_angles``."""
+    rho = TOEPLITZ_RHO
+    return (1.0 - rho**2) / (1.0 - 2.0 * rho * np.cos(theta) + rho**2)
+
+
 def true_spectrum(model: CovarianceModel) -> np.ndarray:
     """Population eigenvalues of the model covariance, ascending."""
     d = model.d
@@ -84,16 +128,8 @@ def true_spectrum(model: CovarianceModel) -> np.ndarray:
         return np.concatenate([np.ones(d // 2), np.full(d // 2, 2.0)])
     if model.family == "uniform_spectrum":
         return 2.0 * np.arange(1, d + 1) / d
-    return np.linalg.eigvalsh(covariance(model))
-
-
-def covariance(model: CovarianceModel) -> np.ndarray:
-    """The model covariance matrix Sigma itself."""
-    d = model.d
-    if model.family == "toeplitz":
-        idx = np.arange(d)
-        return TOEPLITZ_RHO ** np.abs(idx[:, None] - idx[None, :])
-    return np.diag(true_spectrum(model))
+    # Eigenvalues fall as theta rises, so descending angles give them ascending.
+    return _toeplitz_eigenvalues(_toeplitz_angles(d))
 
 
 def factor(model: CovarianceModel) -> np.ndarray:
@@ -103,12 +139,18 @@ def factor(model: CovarianceModel) -> np.ndarray:
     for diag(sqrt(lambda)); the toeplitz family gives the d x d symmetric
     square root S, with S^T S = S S^T = Sigma.
     """
-    if model.family == "toeplitz":
-        sigma = covariance(model)
-        vals, vecs = np.linalg.eigh(sigma)
-        vals = np.clip(vals, 0.0, None)
-        return (vecs * np.sqrt(vals)) @ vecs.T
-    return np.sqrt(true_spectrum(model))
+    if model.family != "toeplitz":
+        return np.sqrt(true_spectrum(model))
+    theta = _toeplitz_angles(model.d)
+    # Eigenvector j has entries sin((k+1) theta_j) - rho sin(k theta_j),
+    # k = 0..d-1, built from one table of sin(k theta_j), k = 0..d.
+    v = np.arange(model.d + 1)[:, None] * theta
+    np.sin(v, out=v)
+    v = v[1:] - TOEPLITZ_RHO * v[:-1]
+    # With the unit eigenvectors scaled by lambda^(1/4), S = V diag(sqrt(lambda)) V^T
+    # is the gram of V's rows: one symmetric rank-d update, bit-symmetric.
+    v *= _toeplitz_eigenvalues(theta) ** 0.25 / np.linalg.norm(v, axis=0)
+    return gram(v)
 
 
 def draw_entry_matrix(entry, n: int, d: int, seed) -> np.ndarray:

@@ -2,7 +2,8 @@
 
 None of this is part of the library: the exhaustive cycle enumeration,
 the dense product traces, ``strict_upper``, the plug-in moment baseline
-and the Monte-Carlo variance loop check the estimator;
+and the Monte-Carlo variance loop check the estimator; ``covariance``
+builds the model matrix that the synthetic factors are checked against;
 ``from_sorted_vector`` checks the W1 identities; ``save_matrix_csv``
 writes fixtures for the CLI tests and ``validate_cdf_file`` re-reads
 what they emit.
@@ -19,7 +20,7 @@ import numpy as np
 
 from specest.linalg import _as_matrix, gram
 from specest.moments import _validate_k, estimate_moments, trial_seed
-from specest.synth import CovarianceModel, factor, sample
+from specest.synth import TOEPLITZ_RHO, CovarianceModel, factor, sample, true_spectrum
 from specest.wasserstein import PointMassDistribution
 
 # Exhaustive cycle enumeration is quadratic-to-exponential in disguise;
@@ -114,6 +115,15 @@ def product_traces(a, k_max: int) -> np.ndarray:
         h = g @ h
         traces.append(np.trace(h))
     return np.array(traces)
+
+
+def covariance(model: CovarianceModel) -> np.ndarray:
+    """The model covariance matrix Sigma itself."""
+    d = model.d
+    if model.family == "toeplitz":
+        idx = np.arange(d)
+        return TOEPLITZ_RHO ** np.abs(idx[:, None] - idx[None, :])
+    return np.diag(true_spectrum(model))
 
 
 def monte_carlo_variance(

@@ -45,17 +45,19 @@ class TestGram:
         y = np.ones((6, 300))
         assert gram(y).shape == (6, 6)
 
-    def test_rejects_nan(self):
-        y = np.ones((3, 3))
-        y[1, 2] = np.nan
-        with pytest.raises(NonFiniteError):
+    @pytest.mark.parametrize("shape", [(6, 40), (40, 6)], ids=["wide", "tall"])
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_entry(self, shape, where, value):
+        y = np.random.default_rng(10).standard_normal(shape)
+        index = {"first": 0, "middle": y.size // 2 + 3, "last": y.size - 1}[where]
+        y.flat[index] = value
+        with pytest.raises(NonFiniteError, match="data matrix contains non-finite entries"):
             gram(y)
 
-    def test_rejects_inf(self):
-        y = np.ones((3, 3))
-        y[0, 0] = np.inf
-        with pytest.raises(NonFiniteError):
-            gram(y)
+    def test_overflow_is_named_as_overflow(self):
+        with pytest.raises(NonFiniteError, match="gram matrix overflowed"):
+            gram(np.full((8, 4), 1e200))
 
     def test_rejects_1d(self):
         with pytest.raises(ValueError):

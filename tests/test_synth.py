@@ -7,13 +7,14 @@ from specest.synth import (
     ENTRY_KINDS,
     FAMILIES,
     CovarianceModel,
-    covariance,
     draw_entry_matrix,
     entry_distribution,
     factor,
     sample,
     true_spectrum,
 )
+
+from helpers import covariance
 
 
 class TestCovarianceModel:
@@ -46,11 +47,6 @@ class TestSpectra:
             true_spectrum(CovarianceModel("uniform_spectrum", 4)),
             [0.5, 1.0, 1.5, 2.0],
         )
-
-    def test_toeplitz_matches_matrix_eigenvalues(self):
-        model = CovarianceModel("toeplitz", 12)
-        direct = np.sort(np.linalg.eigvalsh(covariance(model)))
-        np.testing.assert_allclose(true_spectrum(model), direct, atol=1e-10)
 
     def test_toeplitz_trace_is_dimension(self):
         # unit diagonal, so eigenvalues sum to d
@@ -88,6 +84,40 @@ class TestCovarianceAndFactor:
     def test_diagonal_factor_stays_a_vector_at_large_d(self):
         # A d x d diagonal factor would be 128 MB here.
         assert factor(CovarianceModel("two_spike", 4096)).nbytes == 4096 * 8
+
+
+TOEPLITZ_DIMS = [1, 2, 3, 7, 12, 64, 1024]
+
+
+class TestToeplitzClosedForm:
+    @pytest.mark.parametrize("d", TOEPLITZ_DIMS)
+    def test_spectrum_matches_eigvalsh(self, d):
+        model = CovarianceModel("toeplitz", d)
+        vals = true_spectrum(model)
+        assert (np.diff(vals) > 0).all()
+        direct = np.linalg.eigvalsh(covariance(model))
+        np.testing.assert_allclose(vals, direct, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("d", TOEPLITZ_DIMS)
+    def test_factor_is_the_symmetric_square_root(self, d):
+        model = CovarianceModel("toeplitz", d)
+        sigma = covariance(model)
+        s = factor(model)
+        assert np.array_equal(s, s.T)
+        assert np.abs(s @ s - sigma).max() <= 1e-12
+        # the positive semi-definite root, the one an eigendecomposition gives
+        vals, vecs = np.linalg.eigh(sigma)
+        assert np.abs(s - (vecs * np.sqrt(vals)) @ vecs.T).max() <= 1e-12
+
+    def test_takes_no_eigendecomposition(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("toeplitz model called an eigensolver")
+
+        for name in ("eigh", "eigvalsh", "eig"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        model = CovarianceModel("toeplitz", 64)
+        assert factor(model).shape == (64, 64)
+        assert true_spectrum(model).shape == (64,)
 
 
 class TestEntryDistributions:
