@@ -40,11 +40,10 @@ def cdf_breakpoints(sorted_values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def write_cdf_csv(path: str, xs: np.ndarray, cdf: np.ndarray) -> None:
+    # One write of the whole file; rows end in "\r\n", as csv.writer ends them.
+    rows = "".join(f"{x!r},{f!r}\r\n" for x, f in zip(xs.tolist(), cdf.tolist()))
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "cdf"])
-        for x, f in zip(xs, cdf):
-            writer.writerow([repr(float(x)), repr(float(f))])
+        fh.write("x,cdf\r\n" + rows)
 
 
 def _run_trial(

@@ -47,6 +47,8 @@ class TestCdfFiles:
         xs, fs = cdf_breakpoints(np.array([0.5, 1.0, 1.0, 2.0]))
         write_cdf_csv(path, xs, fs)
         validate_cdf_file(path)  # should not raise
+        with open(path, "rb") as fh:
+            assert fh.read() == b"x,cdf\r\n0.5,0.25\r\n1.0,0.75\r\n2.0,1.0\r\n"
 
     def test_validator_rejects_bad_tail(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -170,7 +170,7 @@ class TestEstimateMoments:
 
 
 class TestCycleTraceKernel:
-    """The row-block kernel across block boundaries and ragged last blocks."""
+    """The tiled kernel across tile boundaries and ragged last tiles."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 255, 256, 257, 513, 700])
     def test_matches_dense_products(self, n):
@@ -196,6 +196,17 @@ class TestCycleTraceKernel:
                 ref = [brute_force_increasing(a, k) / 4 for k in range(1, k_max + 1)]
                 np.testing.assert_allclose(got, ref, rtol=1e-10, atol=1e-12)
 
+    @pytest.mark.parametrize("n", [37, 40])
+    def test_many_tiles_match_dense_products(self, n, monkeypatch):
+        # 8 tiles of 5 (the last one ragged at n = 37), most of them off the
+        # diagonal; k_max <= 3 has no power loop, k_max <= 2 no last pass.
+        monkeypatch.setattr(moments, "_BLOCK", 5)
+        y = np.random.default_rng(43 + n).standard_normal((n, 12))
+        a = gram(y)
+        for k_max in range(1, 10):
+            got = moments._cycle_traces(a.copy(), k_max)
+            np.testing.assert_allclose(got, product_traces(a, k_max), rtol=1e-12, atol=0)
+
     def test_peak_memory_within_four_gram_sized_arrays(self):
         n = 1024
         y = np.random.default_rng(42).standard_normal((n, 512))
@@ -206,6 +217,20 @@ class TestCycleTraceKernel:
         finally:
             tracemalloc.stop()
         assert peak <= 4 * 8 * n * n + 64 * 1024
+
+    @pytest.mark.parametrize("k_max", [7, 9])
+    def test_peak_memory_is_powers_plus_two_tiles(self, k_max):
+        # The h = k_max // 2 powers of G (the first one is the gram itself),
+        # plus one tile of G (G^h)^T and one flattened tile of G^p.
+        n = 1024
+        y = np.random.default_rng(42).standard_normal((n, 512))
+        tracemalloc.start()
+        try:
+            estimate_moments(y, k_max, 3.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (k_max // 2) * 8 * n * n + 2 * 8 * moments._BLOCK**2 + 64 * 1024
 
 
 class TestEmpiricalMoment:
