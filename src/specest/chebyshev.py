@@ -15,6 +15,7 @@ import math
 
 import numpy as np
 
+from .lp import _moment_powers
 from .wasserstein import PointMassDistribution
 
 __all__ = [
@@ -60,8 +61,9 @@ def moments_of(dist: PointMassDistribution, k: int) -> np.ndarray:
     """First k raw moments of a point-mass distribution."""
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
-    powers = np.vander(dist.locations, k + 1, increasing=True)[:, 1:]
-    return powers.T @ dist.masses
+    # The transposed view, not a C-ordered copy: the product's last bits
+    # depend on the layout, and the lower-bound report prints them.
+    return _moment_powers(dist.locations, k).T @ dist.masses
 
 
 def _check(index: int, value: float, lower: float, upper: float) -> dict:

@@ -1,8 +1,8 @@
 """Weighted L1 moment-matching LP and a self-contained simplex solver.
 
 The problem: given a mesh x_1 < ... < x_t, a target moment vector
-a_1..a_k and positive weights w_1..w_k, find masses p on the mesh
-minimizing
+a_1..a_k and positive weights w_1..w_k, ``solve(mesh, target, weights)``
+finds masses p on the mesh minimizing
 
     sum_i w_i * | sum_j x_j^i p_j - a_i |
     subject to  sum_j p_j = 1,  p >= 0.
@@ -15,64 +15,20 @@ basis solves is both fast and easy to keep deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["WeightedL1Problem", "SimplexSolution", "solve"]
+__all__ = ["SimplexSolution", "solve"]
 
 # Entering-variable tolerance scale and ratio-test pivot floor.
 _OPT_TOL = 1e-9
 _PIV_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class WeightedL1Problem:
-    """Mesh, targets and weights for one weighted L1 moment fit.
-
-    ``moment_matrix`` holds the mesh powers, row i being mesh**(i+1);
-    it is built from the mesh.
-    """
-
-    mesh: np.ndarray
-    target: np.ndarray
-    weights: np.ndarray
-    moment_matrix: np.ndarray = field(init=False)
-
-    def __post_init__(self) -> None:
-        mesh = np.asarray(self.mesh, dtype=float)
-        target = np.asarray(self.target, dtype=float)
-        weights = np.asarray(self.weights, dtype=float)
-        object.__setattr__(self, "mesh", mesh)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "weights", weights)
-        if mesh.ndim != 1 or mesh.size < 1:
-            raise ValueError("mesh must be a non-empty 1-d array")
-        if not np.isfinite(mesh).all() or (mesh < 0).any():
-            raise ValueError("mesh points must be finite and nonnegative")
-        if (np.diff(mesh) <= 0).any():
-            raise ValueError("mesh must be strictly increasing")
-        if target.ndim != 1 or target.size < 1 or not np.isfinite(target).all():
-            raise ValueError("target must be a non-empty finite 1-d array")
-        if weights.shape != target.shape:
-            raise ValueError("weights must match target in shape")
-        if not np.isfinite(weights).all() or (weights <= 0).any():
-            raise ValueError("weights must be finite and strictly positive")
-        powers = np.vander(mesh, target.size + 1, increasing=True)[:, 1:]
-        object.__setattr__(self, "moment_matrix", np.ascontiguousarray(powers.T))
-
-    @property
-    def k(self) -> int:
-        return int(self.target.size)
-
-    @property
-    def t(self) -> int:
-        return int(self.mesh.size)
-
-    def objective(self, masses) -> float:
-        """Weighted L1 moment mismatch of a given mass vector."""
-        residual = self.moment_matrix @ np.asarray(masses, dtype=float) - self.target
-        return float(self.weights @ np.abs(residual))
+def _moment_powers(points: np.ndarray, k: int) -> np.ndarray:
+    """The t x k array of powers points**1 .. points**k, by repeated multiplication."""
+    return np.vander(points, k + 1, increasing=True)[:, 1:]
 
 
 @dataclass(frozen=True)
@@ -90,16 +46,34 @@ class SimplexSolution:
     iterations: int
 
 
-def solve(problem: WeightedL1Problem, *, max_iterations: int | None = None) -> SimplexSolution:
+def solve(mesh, target, weights, *, max_iterations: int | None = None) -> SimplexSolution:
     """Minimize the weighted L1 moment mismatch over the mass simplex.
+
+    The arrays are the x, a and w of the module docstring; x must be >= 0.
 
     Revised simplex on the split-residual reformulation. Pivoting is
     deterministic: Dantzig pricing with lowest-index tie-breaking,
     switching permanently to Bland's rule once the objective has
     stalled for 10 * (t + 2k) iterations, which rules out cycling.
     """
-    v = problem.moment_matrix
-    k, t = problem.k, problem.t
+    mesh = np.asarray(mesh, dtype=float)
+    target = np.asarray(target, dtype=float)
+    weights = np.asarray(weights, dtype=float)
+    if mesh.ndim != 1 or mesh.size < 1:
+        raise ValueError("mesh must be a non-empty 1-d array")
+    if not np.isfinite(mesh).all() or (mesh < 0).any():
+        raise ValueError("mesh points must be finite and nonnegative")
+    if (np.diff(mesh) <= 0).any():
+        raise ValueError("mesh must be strictly increasing")
+    if target.ndim != 1 or target.size < 1 or not np.isfinite(target).all():
+        raise ValueError("target must be a non-empty finite 1-d array")
+    if weights.shape != target.shape:
+        raise ValueError("weights must match target in shape")
+    if not np.isfinite(weights).all() or (weights <= 0).any():
+        raise ValueError("weights must be finite and strictly positive")
+    k, t = target.size, mesh.size
+    # Row i is mesh**(i+1); the solver's products depend on this C order.
+    v = np.ascontiguousarray(_moment_powers(mesh, k).T)
     n_cols = t + 2 * k
     m = k + 1
     if max_iterations is None:
@@ -112,15 +86,15 @@ def solve(problem: WeightedL1Problem, *, max_iterations: int | None = None) -> S
     a[:k, t : t + k] = -np.eye(k)
     a[:k, t + k :] = np.eye(k)
     a[k, :t] = 1.0
-    rhs = np.append(problem.target, 1.0)
+    rhs = np.append(target, 1.0)
     # Normalized costs keep pivot decisions invariant under weight scaling.
-    w_scale = float(problem.weights.max())
-    cost = np.concatenate([np.zeros(t), problem.weights, problem.weights]) / w_scale
+    w_scale = float(weights.max())
+    cost = np.concatenate([np.zeros(t), weights, weights]) / w_scale
 
     # Crash basis: all mass on the first mesh point, residuals absorbed
     # by whichever of u_i / v_i is nonnegative. The basis matrix is a
     # signed permutation, so it is trivially nonsingular.
-    residual0 = v[:, 0] - problem.target
+    residual0 = v[:, 0] - target
     basis = np.empty(m, dtype=int)
     basis[:k] = np.where(residual0 >= 0, t + np.arange(k), t + k + np.arange(k))
     basis[k] = 0
@@ -194,7 +168,7 @@ def solve(problem: WeightedL1Problem, *, max_iterations: int | None = None) -> S
     masses = z[:t].copy()
     return SimplexSolution(
         masses=masses,
-        objective=problem.objective(masses),
+        objective=float(weights @ np.abs(v @ masses - target)),
         status=status,
         iterations=iterations,
     )

@@ -3,8 +3,8 @@
 The pipeline estimates moments of the eigenvalue distribution rescaled
 into [0, 1] by a user-supplied upper bound b, fits a discrete
 distribution on a uniform mesh over [0, 1] by weighted L1 moment
-matching, reads off d quantiles, and rescales them by b. Everything is
-deterministic given the data matrix and configuration.
+matching (``lp.solve``), reads off d quantiles, and rescales them by
+b. Everything is deterministic given the data matrix and configuration.
 """
 
 from __future__ import annotations
@@ -75,6 +75,8 @@ class SpectralDistribution:
         object.__setattr__(self, "masses", masses)
         if support.shape != masses.shape or support.ndim != 1:
             raise ValueError("support and masses must be 1-d arrays of equal length")
+        if not np.isfinite(support).all() or not np.isfinite(masses).all():
+            raise ValueError("support and masses must be finite")
         if (masses < 0).any():
             raise ValueError("masses must be nonnegative")
         total = masses.sum()
@@ -126,7 +128,7 @@ def recover_distribution(estimate: MomentEstimate) -> SpectralDistribution:
     problem_size = max(estimate.n, estimate.d)
     mesh = build_mesh(problem_size)
     weights = default_weights(estimate.n, estimate.d, estimate.values)
-    sol = lp.solve(lp.WeightedL1Problem(mesh=mesh, target=estimate.values, weights=weights))
+    sol = lp.solve(mesh, estimate.values, weights)
     return SpectralDistribution(
         support=mesh,
         masses=sol.masses,

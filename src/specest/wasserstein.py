@@ -69,6 +69,8 @@ def l1_sorted(a, b) -> float:
         raise ValueError("inputs must be 1-d vectors")
     if av.size != bv.size:
         raise ValueError(f"length mismatch: {av.size} vs {bv.size}")
+    if not np.isfinite(av).all() or not np.isfinite(bv).all():
+        raise ValueError("inputs must be finite")
     if (np.diff(av) < 0).any() or (np.diff(bv) < 0).any():
         raise ValueError("inputs must be ascending")
     return float(np.abs(av - bv).sum())

@@ -4,9 +4,11 @@ None of this is part of the library: the exhaustive cycle enumeration,
 the dense product traces, ``strict_upper``, the plug-in moment baseline
 and the Monte-Carlo variance loop check the estimator; ``covariance``
 builds the model matrix that the synthetic factors are checked against;
-``from_sorted_vector`` checks the W1 identities; ``save_matrix_csv``
-writes fixtures for the CLI tests and ``validate_cdf_file`` re-reads
-what they emit.
+``from_sorted_vector`` checks the W1 identities; the mesh LP's
+references (``moment_matrix``, ``lp_standard_form``, the vertex
+enumeration and the grid search) check the simplex solver and build
+their mesh powers themselves; ``save_matrix_csv`` writes fixtures for
+the CLI tests and ``validate_cdf_file`` re-reads what they emit.
 """
 
 from __future__ import annotations
@@ -186,3 +188,68 @@ def from_sorted_vector(values) -> PointMassDistribution:
     if vals.ndim != 1 or vals.size < 1:
         raise ValueError("need a non-empty 1-d vector")
     return PointMassDistribution(vals, np.full(vals.size, 1.0 / vals.size))
+
+
+def moment_matrix(mesh, k: int) -> np.ndarray:
+    """The k x t matrix whose row i is mesh**(i+1), each row the previous one times the mesh."""
+    rows = [np.asarray(mesh, dtype=float)]
+    for _ in range(k - 1):
+        rows.append(rows[-1] * rows[0])
+    return np.array(rows)
+
+
+def weighted_mismatch(mesh, target, weights, masses) -> float:
+    """The LP objective sum_i w_i |sum_j x_j^i p_j - a_i| of given masses."""
+    residual = moment_matrix(mesh, len(target)) @ np.asarray(masses, dtype=float) - target
+    return float(np.asarray(weights) @ np.abs(residual))
+
+
+def lp_standard_form(mesh, target, weights) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Equality matrix, right-hand side and cost of the split-residual LP.
+
+    Columns are [p (t) | u (k) | v (k)], rows the k moment constraints
+    then the unit-mass constraint, as the module docstring of
+    ``specest.lp`` states the problem.
+    """
+    target = np.asarray(target, dtype=float)
+    k, t = target.size, len(mesh)
+    a = np.zeros((k + 1, t + 2 * k))
+    a[:k, :t] = moment_matrix(mesh, k)
+    a[:k, t : t + k] = -np.eye(k)
+    a[:k, t + k :] = np.eye(k)
+    a[k, :t] = 1.0
+    cost = np.concatenate([np.zeros(t), weights, weights])
+    return a, np.append(target, 1.0), cost
+
+
+def vertex_enumeration_objective(mesh, target, weights) -> float:
+    """Optimal LP value by brute force over all basic feasible solutions."""
+    a, rhs, cost = lp_standard_form(mesh, target, weights)
+    m, n_cols = a.shape
+    best = np.inf
+    for cols in combinations(range(n_cols), m):
+        basis = a[:, cols]
+        if abs(np.linalg.det(basis)) < 1e-12:
+            continue
+        x = np.linalg.solve(basis, rhs)
+        if (x < -1e-9).any():
+            continue
+        best = min(best, float(cost[list(cols)] @ np.maximum(x, 0.0)))
+    return best
+
+
+def grid_search_objective(mesh, target, weights, resolution: int = 1000) -> float:
+    """Optimal LP value over the simplex discretized at 1/resolution, for t = 2 or 3."""
+    v = moment_matrix(mesh, len(target))
+    if len(mesh) == 2:
+        i = np.arange(resolution + 1)
+        p = np.stack([i, resolution - i], axis=1) / resolution
+        return float((np.abs(p @ v.T - target) @ weights).min())
+    if len(mesh) != 3:
+        raise ValueError(f"grid search needs 2 or 3 mesh points, got {len(mesh)}")
+    best = np.inf
+    for i in range(resolution + 1):
+        j = np.arange(resolution - i + 1)
+        p = np.stack([np.full_like(j, i), j, resolution - i - j], axis=1) / resolution
+        best = min(best, float((np.abs(p @ v.T - target) @ weights).min()))
+    return best

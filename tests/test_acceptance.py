@@ -6,7 +6,6 @@ tolerances are the stated ones, not tuned-to-pass values; the Monte
 Carlo checks use fixed seeds so the suite is deterministic.
 """
 
-import itertools
 import math
 import time
 
@@ -14,7 +13,7 @@ import numpy as np
 
 from specest.chebyshev import chebyshev_construction, moments_of
 from specest.linalg import empirical_spectrum
-from specest.lp import WeightedL1Problem, solve
+from specest.lp import solve
 from specest.moments import estimate_moments, trial_seed
 from specest.recovery import RecoveryConfig, build_mesh
 from specest.synth import CovarianceModel, factor, sample, true_spectrum
@@ -25,7 +24,14 @@ from specest.wasserstein import (
     w1,
 )
 
-from helpers import brute_force_increasing, from_sorted_vector, monte_carlo_variance, strict_upper
+from helpers import (
+    brute_force_increasing,
+    from_sorted_vector,
+    grid_search_objective,
+    monte_carlo_variance,
+    strict_upper,
+    vertex_enumeration_objective,
+)
 
 
 def report(index, label, ok, detail):
@@ -206,43 +212,6 @@ def test_criterion_7_sorted_l1_and_quantization_facts():
     )
 
 
-def _vertex_enumeration_objective(prob):
-    v, target, weights = prob.moment_matrix, prob.target, prob.weights
-    k, t = prob.k, prob.t
-    m = k + 1
-    a = np.zeros((m, t + 2 * k))
-    a[:k, :t] = v
-    a[:k, t : t + k] = -np.eye(k)
-    a[:k, t + k :] = np.eye(k)
-    a[k, :t] = 1.0
-    rhs = np.append(target, 1.0)
-    cost = np.concatenate([np.zeros(t), weights, weights])
-    best = np.inf
-    for cols in itertools.combinations(range(t + 2 * k), m):
-        basis = a[:, cols]
-        if abs(np.linalg.det(basis)) < 1e-12:
-            continue
-        x = np.linalg.solve(basis, rhs)
-        if (x < -1e-9).any():
-            continue
-        best = min(best, float(cost[list(cols)] @ np.maximum(x, 0.0)))
-    return best
-
-
-def _grid_objective(prob, resolution=1000):
-    v, target, weights = prob.moment_matrix, prob.target, prob.weights
-    best = np.inf
-    if prob.t == 2:
-        i = np.arange(resolution + 1)
-        p = np.stack([i, resolution - i], axis=1) / resolution
-        return float((np.abs(p @ v.T - target) @ weights).min())
-    for i in range(resolution + 1):
-        j = np.arange(resolution - i + 1)
-        p = np.stack([np.full_like(j, i), j, resolution - i - j], axis=1) / resolution
-        best = min(best, float((np.abs(p @ v.T - target) @ weights).min()))
-    return best
-
-
 def test_criterion_8_lp_feed_through_and_optimality():
     # part one: exact moments of mesh-supported 1-3 atom distributions
     # round-trip through the mesh LP to within 3 mesh steps. Unit
@@ -258,7 +227,7 @@ def test_criterion_8_lp_feed_through_and_optimality():
         mass /= mass.sum()
         truth = PointMassDistribution(mesh_points[idx], mass)
         vals = np.array([(truth.locations**k) @ truth.masses for k in range(1, 8)])
-        masses = solve(WeightedL1Problem(mesh=mesh_points, target=vals, weights=np.ones(7))).masses
+        masses = solve(mesh_points, vals, np.ones(7)).masses
         keep = masses > 0
         got = PointMassDistribution(mesh_points[keep], masses[keep] / masses[keep].sum())
         worst_w1 = max(worst_w1, w1(truth, got))
@@ -275,17 +244,13 @@ def test_criterion_8_lp_feed_through_and_optimality():
         k = int(rng.integers(1, 4))
         mesh = np.sort(rng.uniform(0.0, 1.0, t))
         mesh[0] = max(mesh[0], 1e-3)
-        prob = WeightedL1Problem(
-            mesh=mesh,
-            target=rng.uniform(-0.2, 1.0, k),
-            weights=rng.uniform(0.2, 1.0, k),
-        )
-        sol = solve(prob)
+        prob = (mesh, rng.uniform(-0.2, 1.0, k), rng.uniform(0.2, 1.0, k))
+        sol = solve(*prob)
         worst_gap_exact = max(
-            worst_gap_exact, abs(sol.objective - _vertex_enumeration_objective(prob))
+            worst_gap_exact, abs(sol.objective - vertex_enumeration_objective(*prob))
         )
         if t <= 3:
-            grid = _grid_objective(prob)
+            grid = grid_search_objective(*prob)
             assert sol.objective <= grid + 1e-9
             worst_gap_grid = max(worst_gap_grid, grid - sol.objective)
     opt_ok = worst_gap_exact <= 2e-3 and worst_gap_grid <= 2e-3

@@ -1,5 +1,6 @@
 """The package's public surface (the documented top-level names and every module's
-``__all__``) and its one runtime dependency, numpy."""
+``__all__``), its one runtime dependency, numpy, and one home for each of moment
+powers and quantiles."""
 
 import ast
 import importlib
@@ -54,3 +55,24 @@ def test_imports_only_numpy_and_the_standard_library(path):
             continue
         outside += [r for r in roots if r != "numpy" and r not in sys.stdlib_module_names]
     assert not outside, f"{path.name} imports {outside}"
+
+
+def _called_name(node) -> str | None:
+    if isinstance(node, ast.Call):
+        if isinstance(node.func, ast.Attribute):
+            return node.func.attr
+        if isinstance(node.func, ast.Name):
+            return node.func.id
+    return None
+
+
+# Moment powers are built with vander and quantiles read with searchsorted;
+# each concept keeps one implementation, so each call sits in one file.
+@pytest.mark.parametrize("name", ["vander", "searchsorted"])
+def test_called_from_exactly_one_source(name):
+    callers = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if any(_called_name(node) == name for node in ast.walk(tree)):
+            callers.append(path.name)
+    assert len(callers) == 1, f"{name} is called from {callers}"

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from specest.linalg import empirical_spectrum
-from specest.lp import WeightedL1Problem, solve
+from specest.lp import solve
 from specest.moments import MomentEstimate, estimate_moments
 from specest.recovery import (
     MESH_CAP,
@@ -128,6 +128,14 @@ class TestSpectralDistribution:
         with pytest.raises(ValueError, match="sum to 1"):
             SpectralDistribution(support=[0.0, 1.0], masses=[0.4, 0.4])
 
+    @pytest.mark.parametrize(
+        "support, masses",
+        [([0.0, 1.0], [np.nan, np.nan]), ([0.0, np.nan], [0.5, 0.5]), ([0.0, np.inf], [0.5, 0.5])],
+    )
+    def test_rejects_non_finite(self, support, masses):
+        with pytest.raises(ValueError, match="finite"):
+            SpectralDistribution(support=support, masses=masses)
+
     def test_allows_zero_masses(self):
         dist = SpectralDistribution(support=[0.0, 0.5, 1.0], masses=[0.0, 1.0, 0.0])
         assert dist.masses[1] == 1.0
@@ -171,7 +179,7 @@ class TestRecoverDistribution:
             mass /= mass.sum()
             truth = PointMassDistribution(mesh_points[idx], mass)
             vals = np.array([(truth.locations**k) @ truth.masses for k in range(1, 8)])
-            sol = solve(WeightedL1Problem(mesh=mesh_points, target=vals, weights=np.ones(7)))
+            sol = solve(mesh_points, vals, np.ones(7))
             dist = SpectralDistribution(support=mesh_points, masses=sol.masses)
             assert w1(as_point_mass(dist), truth) <= 3.0 / 64
 

@@ -136,6 +136,14 @@ class TestL1Sorted:
         with pytest.raises(ValueError, match="ascending"):
             l1_sorted([1.0, 0.0], [0.0, 1.0])
 
+    @pytest.mark.parametrize(
+        "a, b",
+        [([0.0, np.nan], [0.0, 1.0]), ([0.0, 1.0], [np.nan, 1.0]), ([0.0, np.inf], [0.0, 1.0])],
+    )
+    def test_rejects_non_finite(self, a, b):
+        with pytest.raises(ValueError, match="finite"):
+            l1_sorted(a, b)
+
 
 class TestQuantize:
     def test_point_mass_stays_put(self):
