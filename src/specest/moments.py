@@ -82,15 +82,21 @@ class MomentEstimate:
         return int(self.values.size)
 
 
-# Tile edge of the triangular products. At k_max = 7 on a 2-CPU host,
-# 128 beat 256 by 4-25% at n <= 1024, and 256 was fastest at n = 2048
-# (253-263 ms, against 274-284 at 128 and 283-301 at 512) and n = 4096.
-_BLOCK = 256
+def _tile_edge(n: int) -> int:
+    """Tile edge of the triangular products for an n x n gram.
+
+    At k_max = 5 on a 2-CPU host (medians of 9), 128 beat 256 at
+    n = 512 (4.0-4.1 against 4.9-5.0 ms) and n = 1024 (21.5-22.2 against
+    23.1-23.4 ms), and 256 was faster at n = 2048 (127-132 against
+    135 ms). At n <= 256 the 256 edge gives one tile.
+    """
+    return 128 if 256 < n < 2048 else 256
 
 
 def _blocks(n: int, start: int = 0):
-    for i in range(start, n, _BLOCK):
-        yield i, min(i + _BLOCK, n)
+    edge = _tile_edge(n)
+    for i in range(start, n, edge):
+        yield i, min(i + edge, n)
 
 
 def _cycle_traces(a: np.ndarray, k_max: int) -> np.ndarray:

@@ -121,7 +121,7 @@ class TestSimulate:
                 "simulate",
                 "--family", "identity",
                 "--d", "16",
-                "--n-ratio", "1/8",  # n = 2 < default k_max = 7
+                "--n-ratio", "1/8",  # n = 2 < default k_max = 5
                 "--trials", "1",
                 "--out", str(tmp_path / "run"),
             ]

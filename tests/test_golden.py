@@ -1,0 +1,124 @@
+"""Golden SHA-256 digests of outputs whose last bits are part of the contract.
+
+The `lower-bound` JSON and CSV reports for every even k from 4 to 40, and
+`estimate_spectrum` at the default `RecoveryConfig` on three fixed draws,
+are hashed and compared with ``golden_digests.json``. Every case goes
+through BLAS: the report's moment differences come from the matrix-vector
+product in ``chebyshev.moments_of``, and the estimates from the gram and
+the moment kernel's products. Their bits depend on numpy, the BLAS, the
+BLAS thread count and the CPU the BLAS picks its kernels for, so the file
+records that environment and every case skips in any other.
+
+A change that alters any of these outputs on purpose regenerates the file
+from the repository root with
+
+    PYTHONPATH=src python tests/test_golden.py
+
+and says which digests moved and why.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+from functools import partial
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from specest.cli import main
+from specest.recovery import RecoveryConfig, estimate_spectrum
+from specest.synth import CovarianceModel, factor, sample, true_spectrum
+
+DIGEST_FILE = Path(__file__).with_name("golden_digests.json")
+THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+
+# (family, d, n, seed): n = 512 runs the moment kernel on tiles of 128,
+# n = 256 and n = 64 on one tile.
+ESTIMATE_CASES = [
+    ("two_spike", 256, 256, 1),
+    ("toeplitz", 128, 512, 2),
+    ("uniform_spectrum", 512, 64, 3),
+]
+
+
+def environment() -> dict:
+    """What the digests' bits depend on besides the code."""
+    from numpy._core._multiarray_umath import __cpu_features__
+
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    threads = [f"{var}={os.environ.get(var, 'unset')}" for var in THREAD_VARIABLES]
+    return {
+        "numpy": np.__version__,
+        "blas": f"{blas['name']} {blas['version']}",
+        "blas_threads": ", ".join(threads + [f"{cpus} CPUs"]),
+        "cpu_features": sorted(name for name, found in __cpu_features__.items() if found),
+    }
+
+
+def _differences(expected: dict) -> list[str]:
+    """The keys of a recorded environment that differ from this one."""
+    # Only the recorded numpy is known to offer the introspection environment() uses.
+    if np.__version__ != expected["numpy"]:
+        return ["numpy"]
+    here = environment()
+    return [key for key, value in expected.items() if value != here.get(key)]
+
+
+def _lower_bound(k: int, fmt: str) -> bytes:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["lower-bound", "--k", str(k), "--format", fmt]) == 0
+    return out.getvalue().encode()
+
+
+def _estimate(family: str, d: int, n: int, seed: int) -> bytes:
+    model = CovarianceModel(family, d)
+    y = sample(factor(model), n, "gaussian", seed)
+    spectrum = estimate_spectrum(y, RecoveryConfig(b=float(true_spectrum(model)[-1])))
+    return spectrum.astype("<f8").tobytes()
+
+
+CASES = {
+    **{
+        f"lower-bound --k {k} --format {fmt}": partial(_lower_bound, k, fmt)
+        for k in range(4, 41, 2)
+        for fmt in ("json", "csv")
+    },
+    **{
+        f"estimate_spectrum {f} d={d} n={n} seed={seed}": partial(_estimate, f, d, n, seed)
+        for f, d, n, seed in ESTIMATE_CASES
+    },
+}
+
+
+def digest(name: str) -> str:
+    return hashlib.sha256(CASES[name]()).hexdigest()
+
+
+def test_digest_file_lists_every_case():
+    recorded = json.loads(DIGEST_FILE.read_text(encoding="utf-8"))
+    assert sorted(recorded["digests"]) == sorted(CASES)
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_output_matches_golden_digest(name):
+    recorded = json.loads(DIGEST_FILE.read_text(encoding="utf-8"))
+    moved = _differences(recorded["environment"])
+    if moved:
+        pytest.skip(
+            f"digests were recorded under another {', '.join(moved)}; "
+            "outputs through BLAS may differ in their last bits there"
+        )
+    assert digest(name) == recorded["digests"][name]
+
+
+if __name__ == "__main__":
+    record = {"environment": environment(), "digests": {name: digest(name) for name in CASES}}
+    DIGEST_FILE.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
+    print(f"wrote {len(CASES)} digests to {DIGEST_FILE}")

@@ -184,9 +184,15 @@ class TestCycleTraceKernel:
             got = estimate_moments(y, k_max, b).values
             np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
 
+    def test_tile_edge_by_n(self):
+        # n <= 256 stays one tile and n >= 2048 keeps 256, so their bits
+        # do not depend on the 128 edge used in between.
+        edges = [moments._tile_edge(n) for n in (1, 256, 257, 1024, 2047, 2048, 4096)]
+        assert edges == [256, 256, 128, 128, 128, 256, 256]
+
     @pytest.mark.parametrize("block", [1, 3, 7])
     def test_small_blocks_match_brute_force(self, block, monkeypatch):
-        monkeypatch.setattr(moments, "_BLOCK", block)
+        monkeypatch.setattr(moments, "_tile_edge", lambda n: block)
         rng = np.random.default_rng(41)
         for n in (1, 2, 5, 8, 10):
             y = rng.standard_normal((n, 4))
@@ -200,7 +206,7 @@ class TestCycleTraceKernel:
     def test_many_tiles_match_dense_products(self, n, monkeypatch):
         # 8 tiles of 5 (the last one ragged at n = 37), most of them off the
         # diagonal; k_max <= 3 has no power loop, k_max <= 2 no last pass.
-        monkeypatch.setattr(moments, "_BLOCK", 5)
+        monkeypatch.setattr(moments, "_tile_edge", lambda n: 5)
         y = np.random.default_rng(43 + n).standard_normal((n, 12))
         a = gram(y)
         for k_max in range(1, 10):
@@ -218,11 +224,12 @@ class TestCycleTraceKernel:
             tracemalloc.stop()
         assert peak <= 4 * 8 * n * n + 64 * 1024
 
-    @pytest.mark.parametrize("k_max", [7, 9])
+    @pytest.mark.parametrize("k_max", [5, 7, 9])
     def test_peak_memory_is_powers_plus_two_tiles(self, k_max):
         # The h = k_max // 2 powers of G (the first one is the gram itself),
         # plus one tile of G (G^h)^T and one flattened tile of G^p.
         n = 1024
+        edge = moments._tile_edge(n)
         y = np.random.default_rng(42).standard_normal((n, 512))
         tracemalloc.start()
         try:
@@ -230,7 +237,7 @@ class TestCycleTraceKernel:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= (k_max // 2) * 8 * n * n + 2 * 8 * moments._BLOCK**2 + 64 * 1024
+        assert peak <= (k_max // 2) * 8 * n * n + 2 * 8 * edge**2 + 64 * 1024
 
 
 class TestEmpiricalMoment:
