@@ -10,7 +10,9 @@ finds masses p on the mesh minimizing
 Splitting each absolute residual into nonnegative parts u_i - v_i turns
 this into a standard-form LP with k + 1 equality rows and t + 2k
 variables, small enough that a dense revised simplex with explicit
-basis solves is both fast and easy to keep deterministic.
+basis solves is both fast and easy to keep deterministic. It prices by
+Dantzig's rule with lowest-index ties for the first 10 * (t + 2k)
+iterations, then by Bland's rule, which cannot cycle.
 """
 
 from __future__ import annotations
@@ -24,6 +26,8 @@ __all__ = ["SimplexSolution", "solve"]
 # Entering-variable tolerance scale and ratio-test pivot floor.
 _OPT_TOL = 1e-9
 _PIV_TOL = 1e-10
+# Iterations per LP column priced by Dantzig's rule before Bland's takes over.
+_BLAND_AFTER = 10
 
 
 def _moment_powers(points: np.ndarray, k: int) -> np.ndarray:
@@ -52,9 +56,8 @@ def solve(mesh, target, weights, *, max_iterations: int | None = None) -> Simple
     The arrays are the x, a and w of the module docstring; x must be >= 0.
 
     Revised simplex on the split-residual reformulation. Pivoting is
-    deterministic: Dantzig pricing with lowest-index tie-breaking,
-    switching permanently to Bland's rule once the objective has
-    stalled for 10 * (t + 2k) iterations, which rules out cycling.
+    deterministic: Dantzig pricing with lowest-index tie-breaking for the
+    first 10 * (t + 2k) iterations, then Bland's rule, which cannot cycle.
     """
     mesh = np.asarray(mesh, dtype=float)
     target = np.asarray(target, dtype=float)
@@ -99,9 +102,6 @@ def solve(mesh, target, weights, *, max_iterations: int | None = None) -> Simple
     basis[:k] = np.where(residual0 >= 0, t + np.arange(k), t + k + np.arange(k))
     basis[k] = 0
 
-    bland = False
-    stalled = 0
-    best_obj = np.inf
     status = "iteration-limit"
     iterations = 0
 
@@ -117,29 +117,15 @@ def solve(mesh, target, weights, *, max_iterations: int | None = None) -> Simple
         except np.linalg.LinAlgError as exc:
             raise ArithmeticError(f"simplex basis became singular: {exc}") from exc
 
-        obj = float(cost[basis] @ xb)
-        if obj < best_obj - 1e-13 * (1.0 + abs(best_obj)):
-            best_obj = obj
-            stalled = 0
-        else:
-            stalled += 1
-            if stalled > 10 * n_cols:
-                bland = True
-
         reduced = cost - a.T @ y
         reduced[basis] = 0.0
         tol = _OPT_TOL * (1.0 + float(np.abs(y).max()))
-        if bland:
-            candidates = np.flatnonzero(reduced < -tol)
-            if candidates.size == 0:
-                status = "optimal"
-                break
-            entering = int(candidates[0])
-        else:
-            entering = int(np.argmin(reduced))
-            if reduced[entering] >= -tol:
-                status = "optimal"
-                break
+        improving = np.flatnonzero(reduced < -tol)
+        if improving.size == 0:
+            status = "optimal"
+            break
+        # Dantzig's column (argmin takes the lowest index among ties), then Bland's.
+        entering = int(improving[0] if iterations > _BLAND_AFTER * n_cols else np.argmin(reduced))
 
         direction = np.linalg.solve(b_mat, a[:, entering])
         positive = direction > _PIV_TOL

@@ -64,7 +64,7 @@ class RecoveryConfig:
 
 @dataclass(frozen=True)
 class SpectralDistribution:
-    """Masses on a mesh over [0, 1], with solve metadata attached."""
+    """Masses on a nondecreasing mesh over [0, 1], with solve metadata attached."""
 
     support: np.ndarray
     masses: np.ndarray
@@ -81,6 +81,8 @@ class SpectralDistribution:
             raise ValueError("support and masses must be 1-d arrays of equal length")
         if not np.isfinite(support).all() or not np.isfinite(masses).all():
             raise ValueError("support and masses must be finite")
+        if (np.diff(support) < 0).any():
+            raise ValueError("support must be ascending")
         if (masses < 0).any():
             raise ValueError("masses must be nonnegative")
         total = masses.sum()

@@ -175,4 +175,4 @@ def sample(s: np.ndarray, n: int, entry, seed) -> np.ndarray:
             f"factor must be a length-d vector or a d x d matrix, got shape {s.shape}"
         )
     x = draw_entry_matrix(entry, n, s.shape[0], seed)
-    return x * s if s.ndim == 1 else x @ s
+    return np.multiply(x, s, out=x) if s.ndim == 1 else x @ s

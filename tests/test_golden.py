@@ -1,8 +1,11 @@
 """Golden SHA-256 digests of outputs whose last bits are part of the contract.
 
-The `lower-bound` JSON and CSV reports for every even k from 4 to 40, and
-`estimate_spectrum` at the default `RecoveryConfig` on three fixed draws,
-are hashed and compared with ``golden_digests.json``. Every case goes
+The `lower-bound` JSON and CSV reports for every even k from 4 to 40,
+`estimate_spectrum` at the default `RecoveryConfig` on three fixed draws
+and at k_max = 7 on the one shape whose mesh hits ``MESH_CAP``, and two
+small `simulate` runs are hashed and compared with ``golden_digests.json``.
+A `simulate` digest covers its exit code, every CDF file in name order and
+``summary.csv`` without its ``runtime_ms`` column. Every case goes
 through BLAS: the report's moment differences come from the matrix-vector
 product in ``chebyshev.moments_of``, and the estimates from the gram and
 the moment kernel's products. Their bits depend on numpy, the BLAS, the
@@ -20,10 +23,12 @@ and says which digests moved and why.
 from __future__ import annotations
 
 import contextlib
+import csv
 import hashlib
 import io
 import json
 import os
+import tempfile
 from functools import partial
 from pathlib import Path
 
@@ -44,6 +49,12 @@ ESTIMATE_CASES = [
     ("toeplitz", 128, 512, 2),
     ("uniform_spectrum", 512, 64, 3),
 ]
+# (family, d, n, seed, k_max): the benchmark's wide cell, the one shape here
+# whose mesh of max(n, d) + 1 points would pass MESH_CAP.
+CAPPED_CASES = [("two_spike", 4096, 256, 4, 7)]
+# (family, d, seed): the diagonal-factor and the dense-factor sampling path.
+# toeplitz d = 32 exits 1: its n = 4 cell has fewer samples than k_max.
+SIMULATE_CASES = [("uniform_spectrum", 64, 5), ("toeplitz", 32, 6)]
 
 
 def environment() -> dict:
@@ -77,11 +88,25 @@ def _lower_bound(k: int, fmt: str) -> bytes:
     return out.getvalue().encode()
 
 
-def _estimate(family: str, d: int, n: int, seed: int) -> bytes:
+def _estimate(family: str, d: int, n: int, seed: int, k_max: int = RecoveryConfig.k_max) -> bytes:
     model = CovarianceModel(family, d)
     y = sample(factor(model), n, "gaussian", seed)
-    spectrum = estimate_spectrum(y, RecoveryConfig(b=float(true_spectrum(model)[-1])))
-    return spectrum.astype("<f8").tobytes()
+    cfg = RecoveryConfig(b=float(true_spectrum(model)[-1]), k_max=k_max)
+    return estimate_spectrum(y, cfg).astype("<f8").tobytes()
+
+
+def _simulate(family: str, d: int, seed: int) -> bytes:
+    with tempfile.TemporaryDirectory() as out, contextlib.redirect_stderr(io.StringIO()):
+        argv = ["simulate", "--family", family, "--d", str(d), "--trials", "2"]
+        code = main(argv + ["--seed", str(seed), "--out", out])
+        files = sorted(Path(out).glob("cdf_*.csv"))
+        parts = [f"exit {code}\n".encode()]
+        parts += [path.name.encode() + b"\n" + path.read_bytes() for path in files]
+        with open(Path(out, "summary.csv"), encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+    drop = rows[0].index("runtime_ms")
+    parts += [",".join(row[:drop] + row[drop + 1 :]).encode() + b"\n" for row in rows]
+    return b"".join(parts)
 
 
 CASES = {
@@ -93,6 +118,15 @@ CASES = {
     **{
         f"estimate_spectrum {f} d={d} n={n} seed={seed}": partial(_estimate, f, d, n, seed)
         for f, d, n, seed in ESTIMATE_CASES
+    },
+    **{
+        f"estimate_spectrum {f} d={d} n={n} seed={seed} k_max={k}":
+        partial(_estimate, f, d, n, seed, k)
+        for f, d, n, seed, k in CAPPED_CASES
+    },
+    **{
+        f"simulate --family {f} --d {d} --trials 2 --seed {seed}": partial(_simulate, f, d, seed)
+        for f, d, seed in SIMULATE_CASES
     },
 }
 

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
+from specest import lp
 from specest.lp import SimplexSolution, _moment_powers, solve
 from specest.moments import estimate_moments
 from specest.recovery import RecoveryConfig, build_mesh, default_weights
@@ -205,6 +206,20 @@ class TestIterationControl:
         sol = solve(*random_problem(rng, t_max=6, k_max=3), max_iterations=1)
         assert isinstance(sol, SimplexSolution)
         assert sol.status == "iteration-limit"
+
+    def test_bland_phase_reaches_the_optimum(self, monkeypatch):
+        # Default solves never run long enough to reach Bland's rule, so
+        # start it after the first pivot.
+        rng = np.random.default_rng(48)
+        problems = [random_problem(rng, t_max=12, k_max=5) for _ in range(200)]
+        dantzig = [solve(*prob) for prob in problems]
+        monkeypatch.setattr(lp, "_BLAND_AFTER", 0)
+        bland = [solve(*prob) for prob in problems]
+        for a, b in zip(dantzig, bland):
+            assert b.status == "optimal"
+            assert b.objective == pytest.approx(a.objective, abs=1e-12)
+        # Bland's rule picked other columns somewhere, so its branch ran.
+        assert any(a.iterations != b.iterations for a, b in zip(dantzig, bland))
 
     def test_iteration_count_positive(self):
         sol = solve([0.0, 1.0], [0.3], [1.0])

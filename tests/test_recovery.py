@@ -140,6 +140,16 @@ class TestSpectralDistribution:
         dist = SpectralDistribution(support=[0.0, 0.5, 1.0], masses=[0.0, 1.0, 0.0])
         assert dist.masses[1] == 1.0
 
+    @pytest.mark.parametrize("support", [[1.0, 0.0], [0.0, 0.5, 0.4, 1.0]])
+    def test_rejects_decreasing_support(self, support):
+        masses = np.full(len(support), 1.0 / len(support))
+        with pytest.raises(ValueError, match="ascending"):
+            SpectralDistribution(support=support, masses=masses)
+
+    def test_allows_coincident_support_points(self):
+        dist = SpectralDistribution(support=[0.0, 0.5, 0.5, 1.0], masses=[0.25] * 4)
+        np.testing.assert_array_equal(quantile_vector(dist, 3), [0.0, 0.5, 0.5])
+
 
 class TestRecoverDistribution:
     def test_point_mass_at_half(self):
