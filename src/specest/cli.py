@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -32,18 +31,13 @@ def _data_seed(args, d: int, n: int, trial: int) -> tuple[int, int, int, int]:
     return (trial_seed(args.seed, trial), FAMILIES.index(args.family), d, n)
 
 
-def cdf_breakpoints(sorted_values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Breakpoints (x, F(x)) of the equal-mass CDF of a sorted vector."""
+def write_cdf_csv(path: str, sorted_values: np.ndarray) -> None:
+    """Write the breakpoints (x, F(x)) of the equal-mass CDF of a sorted vector."""
     vals = np.asarray(sorted_values, dtype=float)
     xs, counts = np.unique(vals, return_counts=True)
-    return xs, np.cumsum(counts) / vals.size
-
-
-def write_cdf_csv(path: str, xs: np.ndarray, cdf: np.ndarray) -> None:
-    # One write of the whole file; rows end in "\r\n", as csv.writer ends them.
+    cdf = np.cumsum(counts) / vals.size
     rows = "".join(f"{x!r},{f!r}\r\n" for x, f in zip(xs.tolist(), cdf.tolist()))
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("x,cdf\r\n" + rows)
+    _emit("x,cdf\r\n" + rows, path)
 
 
 def _run_trial(
@@ -66,8 +60,7 @@ def _run_trial(
 
     stem = os.path.join(args.out, f"cdf_{args.family}_d{d}_n{n}_trial{trial}")
     for label, vec in (("true", true_vec), ("empirical", empirical), ("recovered", recovered)):
-        xs, fs = cdf_breakpoints(vec)
-        write_cdf_csv(f"{stem}_{label}.csv", xs, fs)
+        write_cdf_csv(f"{stem}_{label}.csv", vec)
     return [args.family, d, n, trial, repr(w1_rec), repr(w1_emp), repr(round(runtime_ms, 3))]
 
 
@@ -114,13 +107,6 @@ def run_experiment(args) -> tuple[list[list], list[str]]:
                         f"{args.family} d={d} n={n} trial={t}: {type(exc).__name__}: {exc}"
                     )
     return rows, failures
-
-
-def write_summary(path: str, rows: list[list]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SUMMARY_COLUMNS)
-        writer.writerows(rows)
 
 
 def _parse_ratio(text: str) -> float:
@@ -206,7 +192,8 @@ def cmd_simulate(args) -> int:
     args.d = args.d or [512]
     args.n_ratio = args.n_ratio or [0.125, 0.25, 0.5, 1.0, 2.0]
     rows, failures = run_experiment(args)
-    write_summary(os.path.join(args.out, "summary.csv"), rows)
+    text = "".join(",".join(map(str, row)) + "\r\n" for row in [SUMMARY_COLUMNS, *rows])
+    _emit(text, os.path.join(args.out, "summary.csv"))
     for note in failures:
         print(f"failed: {note}", file=sys.stderr)
     return 0 if not failures else 1
@@ -239,11 +226,11 @@ def cmd_estimate(args) -> int:
 
 
 def _emit(text: str, path: str | None) -> None:
-    """Write ``text`` to ``path``, or to stdout without one."""
+    """Write ``text`` to ``path`` as rendered (no newline translation), or to stdout."""
     if not path:
         sys.stdout.write(text)
         return
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
 
 

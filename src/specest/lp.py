@@ -13,6 +13,13 @@ variables, small enough that a dense revised simplex with explicit
 basis solves is both fast and easy to keep deterministic. It prices by
 Dantzig's rule with lowest-index ties for the first 10 * (t + 2k)
 iterations, then by Bland's rule, which cannot cycle.
+
+Every mass on the increasing mesh x >= 0 has its i-th moment between
+x_1^i and x_t^i, so ``solve`` first clips each a_i into that range. That
+shifts each |m_i - a_i| by a constant, leaving the minimisers unchanged,
+and keeps far-off noisy targets (1e10 and more at high orders) from
+swamping the unit-mass row in the basis solves. The reported objective is
+still measured against the caller's target.
 """
 
 from __future__ import annotations
@@ -75,8 +82,11 @@ def solve(mesh, target, weights, *, max_iterations: int | None = None) -> Simple
     if not np.isfinite(weights).all() or (weights <= 0).any():
         raise ValueError("weights must be finite and strictly positive")
     k, t = target.size, mesh.size
-    # Row i is mesh**(i+1); the solver's products depend on this C order.
+    # Row i is mesh**(i+1). ``a[:k, :t] = v`` copies values, so only the final
+    # objective's product sees this C order; dropping the copy moves its last bits.
     v = np.ascontiguousarray(_moment_powers(mesh, k).T)
+    # The clipped target of the module docstring.
+    goal = np.clip(target, v[:, 0], v[:, -1])
     n_cols = t + 2 * k
     m = k + 1
     if max_iterations is None:
@@ -89,7 +99,7 @@ def solve(mesh, target, weights, *, max_iterations: int | None = None) -> Simple
     a[:k, t : t + k] = -np.eye(k)
     a[:k, t + k :] = np.eye(k)
     a[k, :t] = 1.0
-    rhs = np.append(target, 1.0)
+    rhs = np.append(goal, 1.0)
     # Normalized costs keep pivot decisions invariant under weight scaling.
     w_scale = float(weights.max())
     cost = np.concatenate([np.zeros(t), weights, weights]) / w_scale
@@ -97,7 +107,7 @@ def solve(mesh, target, weights, *, max_iterations: int | None = None) -> Simple
     # Crash basis: all mass on the first mesh point, residuals absorbed
     # by whichever of u_i / v_i is nonnegative. The basis matrix is a
     # signed permutation, so it is trivially nonsingular.
-    residual0 = v[:, 0] - target
+    residual0 = v[:, 0] - goal
     basis = np.empty(m, dtype=int)
     basis[:k] = np.where(residual0 >= 0, t + np.arange(k), t + k + np.arange(k))
     basis[k] = 0

@@ -87,7 +87,7 @@ class SpectralDistribution:
             raise ValueError("masses must be nonnegative")
         total = masses.sum()
         if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"masses must sum to 1 within 1e-9, got {total!r}")
+            raise ValueError(f"masses must sum to 1 within 1e-9, got {float(total)!r}")
 
 
 def build_mesh(problem_size: int) -> np.ndarray:

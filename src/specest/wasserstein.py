@@ -43,7 +43,7 @@ class PointMassDistribution:
             raise ValueError("masses must be strictly positive")
         total = mass.sum()
         if abs(total - 1.0) > _MASS_TOL:
-            raise ValueError(f"masses must sum to 1 within {_MASS_TOL}, got {total!r}")
+            raise ValueError(f"masses must sum to 1 within {_MASS_TOL}, got {float(total)!r}")
 
 
 def w1(p: PointMassDistribution, q: PointMassDistribution) -> float:

@@ -7,6 +7,7 @@ stderr and emitted files are all observable without subprocesses.
 import argparse
 import csv
 import dataclasses
+import io
 import json
 import re
 from pathlib import Path
@@ -17,11 +18,11 @@ import pytest
 from specest.cli import (
     SUMMARY_COLUMNS,
     build_parser,
-    cdf_breakpoints,
     main,
     write_cdf_csv,
 )
 from specest.recovery import RecoveryConfig, estimate_spectrum
+from specest.synth import CovarianceModel, factor, sample
 
 from helpers import save_matrix_csv, validate_cdf_file
 
@@ -37,15 +38,14 @@ def stable_fields(rows):
 
 
 class TestCdfFiles:
-    def test_breakpoints_merge_duplicates(self):
-        xs, fs = cdf_breakpoints(np.array([1.0, 1.0, 2.0, 3.0]))
-        np.testing.assert_array_equal(xs, [1.0, 2.0, 3.0])
-        np.testing.assert_allclose(fs, [0.5, 0.75, 1.0])
+    def test_breakpoints_merge_duplicates(self, tmp_path):
+        path = tmp_path / "curve.csv"
+        write_cdf_csv(str(path), np.array([1.0, 1.0, 2.0, 3.0]))
+        assert path.read_bytes() == b"x,cdf\r\n1.0,0.5\r\n2.0,0.75\r\n3.0,1.0\r\n"
 
     def test_write_and_validate(self, tmp_path):
         path = str(tmp_path / "curve.csv")
-        xs, fs = cdf_breakpoints(np.array([0.5, 1.0, 1.0, 2.0]))
-        write_cdf_csv(path, xs, fs)
+        write_cdf_csv(path, np.array([0.5, 1.0, 1.0, 2.0]))
         validate_cdf_file(path)  # should not raise
         with open(path, "rb") as fh:
             assert fh.read() == b"x,cdf\r\n0.5,0.25\r\n1.0,0.75\r\n2.0,1.0\r\n"
@@ -114,6 +114,20 @@ class TestSimulate:
         for f in sorted(out_a.glob("cdf_*.csv")):
             twin = out_b / f.name
             assert f.read_bytes() == twin.read_bytes()
+
+    def test_summary_bytes_match_csv_writer(self, tmp_path):
+        # The fields are re-read and rendered again by csv.writer, so any
+        # change of quoting or line ending in the raw file shows here.
+        out = tmp_path / "run"
+        args = ["--family", "toeplitz", "--d", "32", "--n-ratio", "1", "--n-ratio", "2",
+                "--trials", "2", "--seed", "6"]
+        assert main(["simulate", *args, "--out", str(out)]) == 0
+        raw = (out / "summary.csv").read_bytes().decode("utf-8")
+        rendered = io.StringIO()
+        csv.writer(rendered).writerows(read_summary(out / "summary.csv"))
+        lines = raw.splitlines(keepends=True)
+        assert len(lines) == 5  # header + 2 ratios x 2 trials
+        assert lines == rendered.getvalue().splitlines(keepends=True)
 
     def test_undersampled_cell_reported(self, tmp_path, capsys):
         code = main(
@@ -279,6 +293,15 @@ class TestEstimate:
         assert code == 0
         values = [float(line) for line in out.read_text().split()]
         assert len(values) == 8
+        assert out.read_bytes().count(b"\n") == 8 and b"\r" not in out.read_bytes()
+
+    @pytest.mark.parametrize("k", ["18", "20"])
+    def test_huge_high_order_targets_exit_zero(self, tmp_path, k):
+        # 32 two_spike samples in d = 256 whose moment targets of these
+        # orders reach 1e10 and beyond at b = 2.
+        path = tmp_path / "y.csv"
+        save_matrix_csv(path, sample(factor(CovarianceModel("two_spike", 256)), 32, "gaussian", 1))
+        assert main(["estimate", str(path), "--b", "2", "--k", k, "--out", str(tmp_path / "o")]) == 0
 
     def test_heuristic_bound_is_flagged(self, tmp_path, capsys):
         rng = np.random.default_rng(61)

@@ -87,7 +87,7 @@ class TestBuildMesh:
             assert mesh.size == size + 1
             assert (np.diff(mesh) <= 1.0 / size + 1e-12).all()
 
-    def test_needs_problem_size_without_step(self):
+    def test_rejects_problem_size_zero(self):
         with pytest.raises(ValueError, match="problem size"):
             build_mesh(problem_size=0)
 
@@ -125,7 +125,8 @@ class TestSpectralDistribution:
             SpectralDistribution(support=[0.0, 1.0], masses=[1.1, -0.1])
 
     def test_rejects_bad_total(self):
-        with pytest.raises(ValueError, match="sum to 1"):
+        # The total prints as a plain float, not as np.float64(...).
+        with pytest.raises(ValueError, match=r"sum to 1 within 1e-9, got 0\.8$"):
             SpectralDistribution(support=[0.0, 1.0], masses=[0.4, 0.4])
 
     @pytest.mark.parametrize(
@@ -217,6 +218,15 @@ class TestRecoverDistribution:
         dist = recover_distribution(est)
         target = PointMassDistribution([0.5], [1.0])
         assert w1(as_point_mass(dist), target) == 0.0
+
+    @pytest.mark.parametrize("k", [18, 20], ids=lambda k: f"k={k}")
+    def test_huge_high_order_targets_stay_feasible(self, k):
+        # 32 two_spike samples in d = 256 at b = 2: the noisy targets of
+        # these orders reach 1e10 and beyond, far past the mesh's [0, 1].
+        y = sample(factor(CovarianceModel("two_spike", 256)), 32, "gaussian", 1)
+        dist = recover_distribution(estimate_moments(y, k, 2.0))
+        assert dist.lp_status == "optimal"
+        assert dist.masses.sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_negative_target_still_valid_distribution(self):
         # noisy estimates can go negative; output must stay a distribution

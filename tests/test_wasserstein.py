@@ -53,7 +53,8 @@ class TestPointMassDistribution:
             PointMassDistribution([0.0, 1.0], [1.0, 0.0])
 
     def test_rejects_bad_total(self):
-        with pytest.raises(ValueError):
+        # The total prints as a plain float, not as np.float64(...).
+        with pytest.raises(ValueError, match=r"sum to 1 within 1e-09, got 1\.1$"):
             PointMassDistribution([0.0, 1.0], [0.5, 0.6])
 
     def test_rejects_length_mismatch(self):
