@@ -13,7 +13,6 @@ import numpy as np
 
 from .chebyshev import chebyshev_construction, moments_of, root_weight_bounds_check
 from .linalg import NonFiniteError, empirical_spectrum, load_matrix_csv
-from .moments import trial_seed
 from .recovery import (
     RecoveryConfig,
     default_eigenvalue_bound,
@@ -23,12 +22,6 @@ from .synth import ENTRY_KINDS, FAMILIES, CovarianceModel, factor, sample, true_
 from .wasserstein import l1_sorted, w1
 
 SUMMARY_COLUMNS = ("family", "d", "n", "trial", "w1_recovered", "w1_empirical", "runtime_ms")
-
-
-def _data_seed(args, d: int, n: int, trial: int) -> tuple[int, int, int, int]:
-    # Trial axis follows the seed XOR trial contract; the remaining cell
-    # coordinates are mixed in as extra entropy words.
-    return (trial_seed(args.seed, trial), FAMILIES.index(args.family), d, n)
 
 
 def write_cdf_csv(path: str, sorted_values: np.ndarray) -> None:
@@ -51,7 +44,9 @@ def _run_trial(
 ) -> list:
     """One simulated trial: writes its three CDF files, returns its summary row."""
     start = time.perf_counter()
-    y = sample(s, n, args.entry_dist, _data_seed(args, d, n, trial))
+    # Trial t draws with seed XOR t; the remaining cell coordinates are
+    # mixed in as extra entropy words.
+    y = sample(s, n, args.entry_dist, (args.seed ^ trial, FAMILIES.index(args.family), d, n))
     recovered = estimate_spectrum(y, cfg)
     empirical = empirical_spectrum(y)
     w1_rec = l1_sorted(recovered, true_vec) / d
@@ -96,9 +91,6 @@ def run_experiment(args) -> tuple[list[list], list[str]]:
         d = model.d
         s = factor(model)
         for n in ns:
-            if n < args.k:
-                failures.append(f"{args.family} d={d} n={n}: fewer samples than k_max={args.k}")
-                continue
             for t in range(args.trials):
                 try:
                     rows.append(_run_trial(args, s, true_vec, cfg, d, n, t))
@@ -200,34 +192,23 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_estimate(args) -> int:
-    try:
-        y = load_matrix_csv(args.input)
-    except (OSError, ValueError) as exc:
-        print(f"error: {args.input}: {exc}", file=sys.stderr)
-        return 2
-    n, d = y.shape
-    if args.k > n:
-        print(
-            f"error: k_max={args.k} exceeds the sample count n={n}", file=sys.stderr
-        )
-        return 2
-    if args.b is not None:
-        b = args.b
-    else:
-        b = default_eigenvalue_bound(y)
+    y = load_matrix_csv(args.input)
+    b = args.b if args.b is not None else default_eigenvalue_bound(y)
+    spectrum = estimate_spectrum(y, RecoveryConfig(b=b, k_max=args.k))
+    # After the estimate, so an input error prints one error: line alone.
+    if args.b is None:
         print(
             f"note: using heuristic eigenvalue bound b={b!r} "
             "(2x top empirical eigenvalue); pass --b for a guaranteed bound",
             file=sys.stderr,
         )
-    spectrum = estimate_spectrum(y, RecoveryConfig(b=b, k_max=args.k))
     _emit("".join(f"{repr(float(v))}\n" for v in spectrum), args.out)
     return 0
 
 
 def _emit(text: str, path: str | None) -> None:
-    """Write ``text`` to ``path`` as rendered (no newline translation), or to stdout."""
-    if not path:
+    """Write ``text`` to ``path`` as rendered (no newline translation); None means stdout."""
+    if path is None:
         sys.stdout.write(text)
         return
     with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -273,11 +254,12 @@ def cmd_lower_bound(args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    # Bad values, unwritable paths and data whose gram or moments overflow
-    # (the loader rejects non-finite fields) are all input errors.
+    # Bad values, unwritable paths, data whose gram or moments overflow
+    # (the loader rejects non-finite fields) and requests too large to
+    # allocate are all input errors.
     try:
         return args.func(args)
-    except (ValueError, OSError, NonFiniteError) as exc:
+    except (ValueError, OSError, NonFiniteError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

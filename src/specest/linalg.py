@@ -74,31 +74,34 @@ def empirical_spectrum(y) -> np.ndarray:
 def load_matrix_csv(path) -> np.ndarray:
     """Load a sample matrix from CSV: one sample per line, no header.
 
-    A leading UTF-8 byte-order mark is skipped. Raises ValueError naming
-    the offending 1-based line on ragged rows, unparseable fields or
-    non-finite values (nan, inf, or a literal that overflows, such as 1e999).
+    A leading UTF-8 byte-order mark is skipped. Every ValueError names the
+    file: a file that is not UTF-8 text, one with no data rows, and the
+    offending 1-based line on ragged rows, unparseable fields or non-finite
+    values (nan, inf, or a literal that overflows, such as 1e999).
     """
     rows: list[list[float]] = []
     width: int | None = None
     with open(path, "r", encoding="utf-8-sig") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped:
-                continue
-            fields = stripped.split(",")
-            try:
-                row = [float(f) for f in fields]
-            except ValueError as exc:
-                raise ValueError(f"line {lineno}: unparseable value ({exc})") from None
-            if not all(map(math.isfinite, row)):
-                raise ValueError(f"line {lineno}: non-finite value")
-            if width is None:
-                width = len(row)
-            elif len(row) != width:
-                raise ValueError(
-                    f"line {lineno}: expected {width} fields, got {len(row)}"
-                )
-            rows.append(row)
-    if not rows:
-        raise ValueError("no data rows found")
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                stripped = line.strip()
+                if not stripped:
+                    continue
+                fields = stripped.split(",")
+                try:
+                    row = [float(f) for f in fields]
+                except ValueError as exc:
+                    raise ValueError(f"line {lineno}: unparseable value ({exc})") from None
+                if not all(map(math.isfinite, row)):
+                    raise ValueError(f"line {lineno}: non-finite value")
+                if width is None:
+                    width = len(row)
+                elif len(row) != width:
+                    raise ValueError(f"line {lineno}: expected {width} fields, got {len(row)}")
+                rows.append(row)
+            if not rows:
+                raise ValueError("no data rows found")
+        # UnicodeDecodeError is a ValueError: the file is not UTF-8 text.
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
     return np.asarray(rows, dtype=float)

@@ -44,14 +44,8 @@ from .linalg import NonFiniteError, _as_matrix, gram
 
 __all__ = [
     "MomentEstimate",
-    "trial_seed",
     "estimate_moments",
 ]
-
-
-def trial_seed(seed: int, i: int) -> int:
-    """Derived seed for trial i of a Monte-Carlo run: seed XOR i."""
-    return seed ^ i
 
 
 @dataclass(frozen=True)
@@ -74,8 +68,7 @@ class MomentEstimate:
             raise ValueError("values must be a non-empty 1-d array")
         if self.n < 1 or self.d < 1:
             raise ValueError(f"n and d must be positive, got n={self.n} d={self.d}")
-        if self.k_max > self.n:
-            raise ValueError(f"k_max={self.k_max} exceeds sample count n={self.n}")
+        _validate_k(self.n, self.k_max)
 
     @property
     def k_max(self) -> int:

@@ -45,11 +45,13 @@ class RecoveryConfig:
     """Tuning knobs for spectrum recovery: the bound b and the moment count k_max.
 
     b must upper bound the population eigenvalues for the guarantees to
-    mean anything; k_max moments are estimated and fitted. The default is
-    5 because ``default_weights`` scales moment i down by its noise scale,
-    which grows like (2i)^(2i): moments 6 and 7 get weights near rounding
-    level, and fitting them left the estimate unchanged on nearly every
-    draw measured, while they cost the moment kernel a third product.
+    mean anything; k_max moments are estimated and fitted, and k_max is
+    checked against the sample count when the moments are estimated. The
+    default is 5 because ``default_weights`` scales moment i down by its
+    noise scale, which grows like (2i)^(2i): moments 6 and 7 get weights
+    near rounding level, and fitting them left the estimate unchanged on
+    nearly every draw measured, while they cost the moment kernel a third
+    product.
     """
 
     b: float
@@ -58,8 +60,6 @@ class RecoveryConfig:
     def __post_init__(self) -> None:
         if not 0 < self.b < math.inf:
             raise ValueError(f"eigenvalue bound must be positive and finite, got b={self.b}")
-        if self.k_max < 1:
-            raise ValueError(f"k_max must be >= 1, got {self.k_max}")
 
 
 @dataclass(frozen=True)

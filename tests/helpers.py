@@ -21,7 +21,7 @@ from itertools import combinations
 import numpy as np
 
 from specest.linalg import _as_matrix, gram
-from specest.moments import _validate_k, estimate_moments, trial_seed
+from specest.moments import _validate_k, estimate_moments
 from specest.synth import TOEPLITZ_RHO, CovarianceModel, factor, sample, true_spectrum
 from specest.wasserstein import PointMassDistribution
 
@@ -138,7 +138,7 @@ def monte_carlo_variance(
 ) -> MonteCarloStats:
     """Mean and sample variance of the k-th moment estimate over fresh data draws.
 
-    Trial i draws its data with seed ``trial_seed(seed, i)``, so runs
+    Trial i draws its data with seed ``seed ^ i``, so runs
     are reproducible.
 
     Requires trials >= 100; below that the variance estimate is too
@@ -150,7 +150,7 @@ def monte_carlo_variance(
     s = factor(model)
     vals = np.empty(trials)
     for i in range(trials):
-        y = sample(s, n, entry, trial_seed(seed, i))
+        y = sample(s, n, entry, seed ^ i)
         vals[i] = estimate_moments(y, k).values[k - 1]
     return MonteCarloStats(mean=float(vals.mean()), variance=float(vals.var(ddof=1)))
 

@@ -14,7 +14,7 @@ import numpy as np
 from specest.chebyshev import chebyshev_construction, moments_of
 from specest.linalg import empirical_spectrum
 from specest.lp import solve
-from specest.moments import estimate_moments, trial_seed
+from specest.moments import estimate_moments
 from specest.recovery import RecoveryConfig, build_mesh
 from specest.synth import CovarianceModel, factor, sample, true_spectrum
 from specest.wasserstein import (
@@ -47,7 +47,7 @@ def run_experiment_cell(family, d, n, trials, seed):
     cfg = RecoveryConfig(b=float(truth[-1]))
     rec_errs, emp_errs = [], []
     for t in range(trials):
-        y = sample(s, n, "gaussian", trial_seed(seed, t))
+        y = sample(s, n, "gaussian", seed ^ t)
         rec_errs.append(l1_sorted(recover_spectrum(y, cfg), truth) / d)
         emp_errs.append(l1_sorted(empirical_spectrum(y), truth) / d)
     return np.array(rec_errs), np.array(emp_errs)
@@ -96,7 +96,7 @@ def test_criterion_2_estimator_is_unbiased():
         s = factor(model)
         vals = np.empty((trials, k_max))
         for i in range(trials):
-            y = sample(s, n, kind, trial_seed(202, i))
+            y = sample(s, n, kind, 202 ^ i)
             vals[i] = estimate_moments(y, k_max).values
         for k in range(1, k_max + 1):
             col = vals[:, k - 1]

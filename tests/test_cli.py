@@ -142,7 +142,7 @@ class TestSimulate:
         )
         assert code == 1
         err = capsys.readouterr().err
-        assert "failed" in err and "fewer samples" in err
+        assert "failed" in err and "exceeds sample count" in err
 
     def test_summary_row_order(self, tmp_path):
         out = tmp_path / "run"
@@ -325,6 +325,14 @@ class TestEstimate:
         assert code == 2
         assert capsys.readouterr().err.count("error:") == 1
 
+    def test_empty_out_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "y.csv"
+        save_matrix_csv(path, np.eye(8))
+        code = main(["estimate", str(path), "--b", "2.0", "--out", ""])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.count("error:") == 1 and captured.out == ""
+
     def test_missing_file(self, tmp_path, capsys):
         code = main(["estimate", str(tmp_path / "nope.csv")])
         assert code == 2
@@ -336,6 +344,14 @@ class TestEstimate:
         code = main(["estimate", str(path)])
         assert code == 2
         assert "line 2" in capsys.readouterr().err
+
+    def test_non_utf8_csv_names_file(self, tmp_path, capsys):
+        path = tmp_path / "y.csv"
+        path.write_bytes(b"\xff\xfe1.0,2.0\n")
+        code = main(["estimate", str(path)])
+        assert code == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {path}: ")
 
     @pytest.mark.parametrize("token", ["nan", "inf", "1e999"])
     def test_non_finite_csv_is_input_error(self, tmp_path, capsys, token):
@@ -378,7 +394,8 @@ class TestEstimate:
         save_matrix_csv(path, np.ones((3, 5)))
         code = main(["estimate", str(path), "--k", "4"])
         assert code == 2
-        assert "exceeds the sample count" in capsys.readouterr().err
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and "exceeds sample count" in lines[0]
 
     def test_k_zero_is_usage_error(self, tmp_path):
         path = tmp_path / "y.csv"
@@ -437,6 +454,21 @@ class TestLowerBound:
         code = main(["lower-bound", "--k", "4", "--out", str(tmp_path / "missing" / "o.json")])
         assert code == 2
         assert capsys.readouterr().err.count("error:") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--k", "4", "--out", ""],
+            # An even order numpy cannot allocate: 8e18 bytes pass the address
+            # space of any 64-bit host, so the refusal is immediate.
+            ["--k", "1000000000000000000"],
+        ],
+    )
+    def test_empty_out_or_unallocatable_order_is_usage_error(self, capsys, argv):
+        code = main(["lower-bound", *argv])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.count("error:") == 1 and captured.out == ""
 
 
 def test_readme_names_every_recovery_field():

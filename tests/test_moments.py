@@ -13,7 +13,7 @@ import pytest
 
 from specest import moments
 from specest.linalg import NonFiniteError, gram
-from specest.moments import MomentEstimate, estimate_moments, trial_seed
+from specest.moments import MomentEstimate, estimate_moments
 from specest.synth import CovarianceModel, factor, sample
 
 from helpers import (
@@ -30,16 +30,6 @@ def kth_moment(y, k):
     return estimate_moments(y, k).values[k - 1]
 
 
-class TestHelpers:
-    def test_trial_seed_is_xor(self):
-        assert trial_seed(12, 10) == 6
-        assert trial_seed(0, 7) == 7
-
-    def test_trial_seeds_distinct_within_run(self):
-        seeds = {trial_seed(982347, i) for i in range(1000)}
-        assert len(seeds) == 1000
-
-
 class TestMomentEstimate:
     def test_k_max(self):
         est = MomentEstimate(values=[1.0, 0.5], n=4, d=3)
@@ -48,6 +38,16 @@ class TestMomentEstimate:
     def test_rejects_k_max_above_n(self):
         with pytest.raises(ValueError, match="exceeds sample count"):
             MomentEstimate(values=[1.0, 0.5, 0.2], n=2, d=3)
+
+    @pytest.mark.parametrize("values", [[], [[1.0]]])
+    def test_rejects_values_not_a_non_empty_vector(self, values):
+        with pytest.raises(ValueError, match="non-empty 1-d array"):
+            MomentEstimate(values=values, n=4, d=3)
+
+    @pytest.mark.parametrize("n, d", [(0, 3), (4, 0)])
+    def test_rejects_non_positive_n_or_d(self, n, d):
+        with pytest.raises(ValueError, match="n and d must be positive"):
+            MomentEstimate(values=[1.0], n=n, d=d)
 
 
 class TestEstimateMoment:
@@ -107,7 +107,7 @@ class TestEstimateMoment:
         for k in (2, 3):
             vals = np.array(
                 [
-                    kth_moment(sample(s, 12, "gaussian", trial_seed(100, i)), k)
+                    kth_moment(sample(s, 12, "gaussian", 100 ^ i), k)
                     for i in range(trials)
                 ]
             )
@@ -167,6 +167,11 @@ class TestEstimateMoments:
     def test_rejects_non_2d_input(self, shape):
         with pytest.raises(ValueError, match="2-dimensional"):
             estimate_moments(np.ones(shape), 2)
+
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0)])
+    def test_rejects_empty_input(self, shape):
+        with pytest.raises(ValueError, match="non-empty"):
+            estimate_moments(np.ones(shape), 1)
 
 
 class TestCycleTraceKernel:
@@ -255,7 +260,7 @@ class TestEmpiricalMoment:
         model = CovarianceModel("identity", 40)
         s = factor(model)
         vals = [
-            empirical_moment(sample(s, 10, "gaussian", trial_seed(200, i)), 2)
+            empirical_moment(sample(s, 10, "gaussian", 200 ^ i), 2)
             for i in range(50)
         ]
         assert np.mean(vals) > 2.0  # true value is 1

@@ -118,6 +118,11 @@ class TestDefaultWeights:
         assert np.isfinite(w).all()
         assert (w > 0).all()
 
+    @pytest.mark.parametrize("n, d", [(0, 5), (5, 0)])
+    def test_rejects_non_positive_n_or_d(self, n, d):
+        with pytest.raises(ValueError, match="n and d must be positive"):
+            default_weights(n, d, np.ones(2))
+
 
 class TestSpectralDistribution:
     def test_rejects_negative_mass(self):
@@ -128,6 +133,13 @@ class TestSpectralDistribution:
         # The total prints as a plain float, not as np.float64(...).
         with pytest.raises(ValueError, match=r"sum to 1 within 1e-9, got 0\.8$"):
             SpectralDistribution(support=[0.0, 1.0], masses=[0.4, 0.4])
+
+    @pytest.mark.parametrize(
+        "support, masses", [([0.0, 1.0], [1.0]), ([[0.0, 1.0]], [[0.5, 0.5]])]
+    )
+    def test_rejects_mismatched_or_non_vector_arrays(self, support, masses):
+        with pytest.raises(ValueError, match="1-d arrays of equal length"):
+            SpectralDistribution(support=support, masses=masses)
 
     @pytest.mark.parametrize(
         "support, masses",

@@ -29,6 +29,10 @@ class TestCovarianceModel:
         with pytest.raises(ValueError, match="even"):
             CovarianceModel("two_spike", 7)
 
+    def test_rejects_zero_dimension(self):
+        with pytest.raises(ValueError, match="dimension must be positive"):
+            CovarianceModel("identity", 0)
+
 
 class TestSpectra:
     def test_identity(self):

@@ -61,6 +61,10 @@ class TestPointMassDistribution:
         with pytest.raises(ValueError):
             PointMassDistribution([0.0, 1.0], [1.0])
 
+    def test_rejects_no_atoms(self):
+        with pytest.raises(ValueError, match="at least one atom"):
+            PointMassDistribution([], [])
+
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             PointMassDistribution([np.inf], [1.0])
@@ -132,6 +136,11 @@ class TestL1Sorted:
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError, match="length mismatch"):
             l1_sorted([0.0], [0.0, 1.0])
+
+    @pytest.mark.parametrize("a, b", [([[0.0]], [0.0]), ([0.0], 0.0)])
+    def test_rejects_non_vector(self, a, b):
+        with pytest.raises(ValueError, match="1-d vectors"):
+            l1_sorted(a, b)
 
     def test_rejects_unsorted(self):
         with pytest.raises(ValueError, match="ascending"):
