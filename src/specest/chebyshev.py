@@ -63,7 +63,7 @@ def moments_of(dist: PointMassDistribution, k: int) -> np.ndarray:
         raise ValueError(f"need k >= 1, got {k}")
     # The transposed view, not a C-ordered copy: the product's last bits
     # depend on the layout, and the lower-bound report prints them.
-    return _moment_powers(dist.locations, k).T @ dist.masses
+    return _moment_powers(dist.support, k).T @ dist.masses
 
 
 def _check(index: int, value: float, lower: float, upper: float) -> dict:

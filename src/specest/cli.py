@@ -223,8 +223,8 @@ def cmd_lower_bound(args) -> int:
     threshold = 1.0 / (2 * k)
     report = {
         "k": k,
-        "p": {"locations": p.locations.tolist(), "masses": p.masses.tolist()},
-        "q": {"locations": q.locations.tolist(), "masses": q.masses.tolist()},
+        "p": {"locations": p.support.tolist(), "masses": p.masses.tolist()},
+        "q": {"locations": q.support.tolist(), "masses": q.masses.tolist()},
         "moment_abs_diff": diff.tolist(),
         "max_moment_diff": float(diff.max()),
         "w1": separation,

@@ -75,13 +75,15 @@ def load_matrix_csv(path) -> np.ndarray:
     """Load a sample matrix from CSV: one sample per line, no header.
 
     A leading UTF-8 byte-order mark is skipped. Every ValueError names the
-    file: a file that is not UTF-8 text, one with no data rows, and the
-    offending 1-based line on ragged rows, unparseable fields or non-finite
-    values (nan, inf, or a literal that overflows, such as 1e999).
+    file: one with no data rows, and the offending 1-based line on bytes
+    that are not UTF-8, ragged rows, unparseable fields or non-finite values
+    (nan, inf, or a literal that overflows, such as 1e999).
     """
     rows: list[list[float]] = []
     width: int | None = None
-    with open(path, "r", encoding="utf-8-sig") as fh:
+    # surrogateescape decodes each byte that is not UTF-8 to a lone surrogate
+    # U+DC80..U+DCFF, so the line holding it is the one that fails to parse.
+    with open(path, "r", encoding="utf-8-sig", errors="surrogateescape") as fh:
         try:
             for lineno, line in enumerate(fh, start=1):
                 stripped = line.strip()
@@ -91,7 +93,9 @@ def load_matrix_csv(path) -> np.ndarray:
                 try:
                     row = [float(f) for f in fields]
                 except ValueError as exc:
-                    raise ValueError(f"line {lineno}: unparseable value ({exc})") from None
+                    bad = [ord(c) - 0xDC00 for c in line if "\udc80" <= c <= "\udcff"]
+                    why = f"byte {bad[0]:#04x} is not UTF-8" if bad else f"unparseable value ({exc})"
+                    raise ValueError(f"line {lineno}: {why}") from None
                 if not all(map(math.isfinite, row)):
                     raise ValueError(f"line {lineno}: non-finite value")
                 if width is None:
@@ -101,7 +105,6 @@ def load_matrix_csv(path) -> np.ndarray:
                 rows.append(row)
             if not rows:
                 raise ValueError("no data rows found")
-        # UnicodeDecodeError is a ValueError: the file is not UTF-8 text.
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
     return np.asarray(rows, dtype=float)

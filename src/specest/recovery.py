@@ -17,12 +17,11 @@ import numpy as np
 from . import lp
 from .linalg import empirical_spectrum
 from .moments import MomentEstimate, estimate_moments
-from .wasserstein import _quantiles
+from .wasserstein import PointMassDistribution, _quantiles
 
 __all__ = [
     "MESH_CAP",
     "RecoveryConfig",
-    "SpectralDistribution",
     "build_mesh",
     "default_weights",
     "recover_distribution",
@@ -62,34 +61,6 @@ class RecoveryConfig:
             raise ValueError(f"eigenvalue bound must be positive and finite, got b={self.b}")
 
 
-@dataclass(frozen=True)
-class SpectralDistribution:
-    """Masses on a nondecreasing mesh over [0, 1], with solve metadata attached."""
-
-    support: np.ndarray
-    masses: np.ndarray
-    lp_status: str = "optimal"
-    lp_objective: float = 0.0
-    mesh_coarsened: bool = False
-
-    def __post_init__(self) -> None:
-        support = np.asarray(self.support, dtype=float)
-        masses = np.asarray(self.masses, dtype=float)
-        object.__setattr__(self, "support", support)
-        object.__setattr__(self, "masses", masses)
-        if support.shape != masses.shape or support.ndim != 1:
-            raise ValueError("support and masses must be 1-d arrays of equal length")
-        if not np.isfinite(support).all() or not np.isfinite(masses).all():
-            raise ValueError("support and masses must be finite")
-        if (np.diff(support) < 0).any():
-            raise ValueError("support must be ascending")
-        if (masses < 0).any():
-            raise ValueError("masses must be nonnegative")
-        total = masses.sum()
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"masses must sum to 1 within 1e-9, got {float(total)!r}")
-
-
 def build_mesh(problem_size: int) -> np.ndarray:
     """Uniform mesh {0, step, ..., 1} on the b-rescaled domain.
 
@@ -124,27 +95,22 @@ def default_weights(n: int, d: int, values) -> np.ndarray:
     return np.maximum(w, 1e-300)
 
 
-def recover_distribution(estimate: MomentEstimate) -> SpectralDistribution:
+def recover_distribution(estimate: MomentEstimate) -> PointMassDistribution:
     """Fit a mesh distribution on [0, 1] to every moment in the estimate.
 
     The moments are weighted by default_weights. The mesh step is
     1/max(d, n), coarsened to MESH_CAP points when that step would need
-    more.
+    more; the result's ``mesh_coarsened`` says so. The masses are the LP's,
+    zeros included, on the whole mesh.
     """
     problem_size = max(estimate.n, estimate.d)
     mesh = build_mesh(problem_size)
     weights = default_weights(estimate.n, estimate.d, estimate.values)
     sol = lp.solve(mesh, estimate.values, weights)
-    return SpectralDistribution(
-        support=mesh,
-        masses=sol.masses,
-        lp_status=sol.status,
-        lp_objective=sol.objective,
-        mesh_coarsened=mesh.size <= problem_size,
-    )
+    return PointMassDistribution(mesh, sol.masses, mesh_coarsened=mesh.size <= problem_size)
 
 
-def quantile_vector(dist: SpectralDistribution, d: int) -> np.ndarray:
+def quantile_vector(dist: PointMassDistribution, d: int) -> np.ndarray:
     """d eigenvalue estimates on [0, 1]: the i/(d+1) quantiles of dist, ascending."""
     return _quantiles(dist.support, dist.masses, d)
 

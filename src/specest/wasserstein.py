@@ -18,37 +18,39 @@ __all__ = [
     "quantize",
 ]
 
-_MASS_TOL = 1e-9
-
-
 @dataclass(frozen=True)
 class PointMassDistribution:
-    """Point masses at ``locations`` with positive ``masses`` summing to 1."""
+    """Nonnegative ``masses`` summing to 1 on a nondecreasing ``support``.
 
-    locations: np.ndarray
+    Zero masses and coincident support points are allowed. ``mesh_coarsened``
+    is set by ``recovery.recover_distribution`` when its mesh hit ``MESH_CAP``.
+    """
+
+    support: np.ndarray
     masses: np.ndarray
+    mesh_coarsened: bool = False
 
     def __post_init__(self) -> None:
-        locs = np.asarray(self.locations, dtype=float)
-        mass = np.asarray(self.masses, dtype=float)
-        object.__setattr__(self, "locations", locs)
-        object.__setattr__(self, "masses", mass)
-        if locs.ndim != 1 or mass.ndim != 1 or locs.size != mass.size:
-            raise ValueError("locations and masses must be 1-d arrays of equal length")
-        if locs.size < 1:
-            raise ValueError("distribution needs at least one atom")
-        if not np.isfinite(locs).all() or not np.isfinite(mass).all():
-            raise ValueError("locations and masses must be finite")
-        if (mass <= 0).any():
-            raise ValueError("masses must be strictly positive")
-        total = mass.sum()
-        if abs(total - 1.0) > _MASS_TOL:
-            raise ValueError(f"masses must sum to 1 within {_MASS_TOL}, got {float(total)!r}")
+        support = np.asarray(self.support, dtype=float)
+        masses = np.asarray(self.masses, dtype=float)
+        object.__setattr__(self, "support", support)
+        object.__setattr__(self, "masses", masses)
+        if support.shape != masses.shape or support.ndim != 1:
+            raise ValueError("support and masses must be 1-d arrays of equal length")
+        if not np.isfinite(support).all() or not np.isfinite(masses).all():
+            raise ValueError("support and masses must be finite")
+        if (np.diff(support) < 0).any():
+            raise ValueError("support must be ascending")
+        if (masses < 0).any():
+            raise ValueError("masses must be nonnegative")
+        total = masses.sum()
+        if abs(total - 1.0) > 1e-9:
+            raise ValueError(f"masses must sum to 1 within 1e-9, got {float(total)!r}")
 
 
 def w1(p: PointMassDistribution, q: PointMassDistribution) -> float:
     """Wasserstein-1 distance between two point-mass distributions."""
-    locs = np.concatenate([p.locations, q.locations])
+    locs = np.concatenate([p.support, q.support])
     deltas = np.concatenate([p.masses, -q.masses])
     order = np.argsort(locs, kind="stable")
     locs = locs[order]
@@ -96,7 +98,4 @@ def quantize(p: PointMassDistribution, d: int) -> PointMassDistribution:
 
     The result's W1 distance from ``p`` is at most (range of support)/d.
     """
-    order = np.argsort(p.locations, kind="stable")
-    return PointMassDistribution(
-        _quantiles(p.locations[order], p.masses[order], d), np.full(d, 1.0 / d)
-    )
+    return PointMassDistribution(_quantiles(p.support, p.masses, d), np.full(d, 1.0 / d))

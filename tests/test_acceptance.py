@@ -225,8 +225,10 @@ def test_criterion_8_lp_feed_through_and_optimality():
         idx = rng.choice(mesh_points.size, size=t, replace=False)
         mass = rng.uniform(0.1, 1.0, t)
         mass /= mass.sum()
-        truth = PointMassDistribution(mesh_points[idx], mass)
-        vals = np.array([(truth.locations**k) @ truth.masses for k in range(1, 8)])
+        # each atom keeps its mass, so the law is the one drawn
+        order = np.argsort(idx)
+        truth = PointMassDistribution(mesh_points[idx[order]], mass[order])
+        vals = np.array([(truth.support**k) @ truth.masses for k in range(1, 8)])
         masses = solve(mesh_points, vals, np.ones(7)).masses
         keep = masses > 0
         got = PointMassDistribution(mesh_points[keep], masses[keep] / masses[keep].sum())

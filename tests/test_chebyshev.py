@@ -63,11 +63,11 @@ class TestConstruction:
     def test_atom_counts_and_support(self):
         for k in ORDERS:
             p, q = chebyshev_construction(k)
-            assert p.locations.size == k // 2
-            assert q.locations.size == k // 2
-            assert not set(p.locations) & set(q.locations)
+            assert p.support.size == k // 2
+            assert q.support.size == k // 2
+            assert not set(p.support) & set(q.support)
             for dist in (p, q):
-                assert (np.abs(dist.locations) <= 1.0).all()
+                assert (np.abs(dist.support) <= 1.0).all()
 
     def test_first_k_minus_2_moments_match(self):
         for k in ORDERS:

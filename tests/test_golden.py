@@ -10,7 +10,12 @@ through BLAS: the report's moment differences come from the matrix-vector
 product in ``chebyshev.moments_of``, and the estimates from the gram and
 the moment kernel's products. Their bits depend on numpy, the BLAS, the
 BLAS thread count and the CPU the BLAS picks its kernels for, so the file
-records that environment and every case skips in any other.
+records that environment, and the other cases skip in any other. The four
+`estimate_spectrum` cases run everywhere: an estimate is a vector of mesh
+points times b, and the rounding the BLAS adds rarely moves a quantile to
+another mesh point. They held under OpenBLAS's Haswell and Nehalem kernels
+and on one BLAS thread, while the `simulate` digests moved under the forced
+kernels; other numpy versions and non-x86 CPUs are untried.
 
 A change that alters any of these outputs on purpose regenerates the file
 from the repository root with
@@ -131,6 +136,9 @@ CASES = {
 }
 
 
+PORTABLE = {name for name in CASES if name.startswith("estimate_spectrum")}
+
+
 def digest(name: str) -> str:
     return hashlib.sha256(CASES[name]()).hexdigest()
 
@@ -143,7 +151,7 @@ def test_digest_file_lists_every_case():
 @pytest.mark.parametrize("name", list(CASES))
 def test_output_matches_golden_digest(name):
     recorded = json.loads(DIGEST_FILE.read_text(encoding="utf-8"))
-    moved = _differences(recorded["environment"])
+    moved = [] if name in PORTABLE else _differences(recorded["environment"])
     if moved:
         pytest.skip(
             f"digests were recorded under another {', '.join(moved)}; "

@@ -147,6 +147,22 @@ class TestCsvRoundTrip:
                 load_matrix_csv(path), [[1.0, 2.0], [3.0, 4.0]]
             )
 
+    def test_bare_carriage_returns_end_lines(self, tmp_path):
+        # universal newlines: old Mac-style files load, BOM or not
+        path = tmp_path / "y.csv"
+        for bom in (b"", b"\xef\xbb\xbf"):
+            path.write_bytes(bom + b"1.0,2.0\r\r3.0,4.0\r")
+            np.testing.assert_array_equal(
+                load_matrix_csv(path), [[1.0, 2.0], [3.0, 4.0]]
+            )
+
+    def test_non_utf8_byte_names_line(self, tmp_path):
+        # far past the decoder's first buffer, which once set the reported position
+        path = tmp_path / "y.csv"
+        path.write_bytes(b"1.0,2.0\n" * 5000 + b"3.0,\xff\n")
+        with pytest.raises(ValueError, match=r"y\.csv: line 5001: byte 0xff is not UTF-8$"):
+            load_matrix_csv(path)
+
     def test_ragged_row_names_line(self, tmp_path):
         path = tmp_path / "y.csv"
         path.write_text("1.0,2.0\n3.0\n")

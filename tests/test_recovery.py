@@ -9,6 +9,7 @@ must hand it back.
 import numpy as np
 import pytest
 
+from specest import lp
 from specest.linalg import empirical_spectrum
 from specest.lp import solve
 from specest.moments import MomentEstimate, estimate_moments
@@ -16,7 +17,6 @@ from specest.recovery import (
     MESH_CAP,
     WEIGHT_FLOOR,
     RecoveryConfig,
-    SpectralDistribution,
     build_mesh,
     default_eigenvalue_bound,
     default_weights,
@@ -28,11 +28,10 @@ from specest.synth import CovarianceModel, factor, sample, true_spectrum
 from specest.wasserstein import PointMassDistribution, l1_sorted, w1
 
 
-def as_point_mass(dist):
-    keep = dist.masses > 0
-    return PointMassDistribution(
-        dist.support[keep], dist.masses[keep] / dist.masses[keep].sum()
-    )
+def lp_solution(est):
+    """The LP solve recover_distribution makes for ``est``."""
+    mesh = build_mesh(max(est.n, est.d))
+    return solve(mesh, est.values, default_weights(est.n, est.d, est.values))
 
 
 def scan_quantile(support, masses, level):
@@ -124,60 +123,20 @@ class TestDefaultWeights:
             default_weights(n, d, np.ones(2))
 
 
-class TestSpectralDistribution:
-    def test_rejects_negative_mass(self):
-        with pytest.raises(ValueError, match="nonnegative"):
-            SpectralDistribution(support=[0.0, 1.0], masses=[1.1, -0.1])
-
-    def test_rejects_bad_total(self):
-        # The total prints as a plain float, not as np.float64(...).
-        with pytest.raises(ValueError, match=r"sum to 1 within 1e-9, got 0\.8$"):
-            SpectralDistribution(support=[0.0, 1.0], masses=[0.4, 0.4])
-
-    @pytest.mark.parametrize(
-        "support, masses", [([0.0, 1.0], [1.0]), ([[0.0, 1.0]], [[0.5, 0.5]])]
-    )
-    def test_rejects_mismatched_or_non_vector_arrays(self, support, masses):
-        with pytest.raises(ValueError, match="1-d arrays of equal length"):
-            SpectralDistribution(support=support, masses=masses)
-
-    @pytest.mark.parametrize(
-        "support, masses",
-        [([0.0, 1.0], [np.nan, np.nan]), ([0.0, np.nan], [0.5, 0.5]), ([0.0, np.inf], [0.5, 0.5])],
-    )
-    def test_rejects_non_finite(self, support, masses):
-        with pytest.raises(ValueError, match="finite"):
-            SpectralDistribution(support=support, masses=masses)
-
-    def test_allows_zero_masses(self):
-        dist = SpectralDistribution(support=[0.0, 0.5, 1.0], masses=[0.0, 1.0, 0.0])
-        assert dist.masses[1] == 1.0
-
-    @pytest.mark.parametrize("support", [[1.0, 0.0], [0.0, 0.5, 0.4, 1.0]])
-    def test_rejects_decreasing_support(self, support):
-        masses = np.full(len(support), 1.0 / len(support))
-        with pytest.raises(ValueError, match="ascending"):
-            SpectralDistribution(support=support, masses=masses)
-
-    def test_allows_coincident_support_points(self):
-        dist = SpectralDistribution(support=[0.0, 0.5, 0.5, 1.0], masses=[0.25] * 4)
-        np.testing.assert_array_equal(quantile_vector(dist, 3), [0.0, 0.5, 0.5])
-
-
 class TestRecoverDistribution:
     def test_point_mass_at_half(self):
         est = MomentEstimate(values=0.5 ** np.arange(1, 8), n=64, d=64)
         dist = recover_distribution(est)
-        assert dist.lp_status == "optimal"
+        assert lp_solution(est).status == "optimal"
         target = PointMassDistribution([0.5], [1.0])
-        assert w1(as_point_mass(dist), target) <= 1.0 / 64
+        assert w1(dist, target) <= 1.0 / 64
 
     def test_all_unit_moments_is_point_mass_at_one(self):
         # on [0, 1] only delta at 1 has every moment equal to 1
         est = MomentEstimate(values=np.ones(7), n=64, d=64)
         dist = recover_distribution(est)
         target = PointMassDistribution([1.0], [1.0])
-        assert w1(as_point_mass(dist), target) <= 1.0 / 64
+        assert w1(dist, target) <= 1.0 / 64
 
     def test_two_spike_exact_moments(self):
         # half mass at 0.5, half at 1.0 (the b = 2 rescaled two-spike law)
@@ -185,7 +144,7 @@ class TestRecoverDistribution:
         est = MomentEstimate(values=vals, n=512, d=1024)
         dist = recover_distribution(est)
         target = PointMassDistribution([0.5, 1.0], [0.5, 0.5])
-        assert w1(as_point_mass(dist), target) <= 0.05
+        assert w1(dist, target) <= 0.05
 
     def test_feed_through_small_support(self):
         # mesh-supported distributions with <= 3 atoms and exact moments
@@ -200,11 +159,13 @@ class TestRecoverDistribution:
             idx = rng.choice(mesh_points.size, size=t, replace=False)
             mass = rng.uniform(0.1, 1.0, t)
             mass /= mass.sum()
-            truth = PointMassDistribution(mesh_points[idx], mass)
-            vals = np.array([(truth.locations**k) @ truth.masses for k in range(1, 8)])
+            # each atom keeps its mass, so the law is the one drawn
+            order = np.argsort(idx)
+            truth = PointMassDistribution(mesh_points[idx[order]], mass[order])
+            vals = np.array([(truth.support**k) @ truth.masses for k in range(1, 8)])
             sol = solve(mesh_points, vals, np.ones(7))
-            dist = SpectralDistribution(support=mesh_points, masses=sol.masses)
-            assert w1(as_point_mass(dist), truth) <= 3.0 / 64
+            dist = PointMassDistribution(mesh_points, sol.masses)
+            assert w1(dist, truth) <= 3.0 / 64
 
     # The mesh has max(n, d) + 1 points up to MESH_CAP; from max(n, d) =
     # MESH_CAP on it is coarsened to MESH_CAP points and flagged.
@@ -224,20 +185,32 @@ class TestRecoverDistribution:
         assert dist.mesh_coarsened is coarsened
         assert dist.support.size == (MESH_CAP if coarsened else max(n, d) + 1)
 
+    def test_zero_masses_leave_w1_unchanged(self):
+        # the two_spike fit leaves most of its 1025 mesh points at zero mass
+        est = MomentEstimate(values=0.5 * 0.5 ** np.arange(1, 8) + 0.5, n=512, d=1024)
+        dist = recover_distribution(est)
+        keep = dist.masses > 0
+        assert not keep.all()
+        trimmed = PointMassDistribution(dist.support[keep], dist.masses[keep])
+        for target in ([0.5, 1.0], [0.5, 0.5]), ([0.2], [1.0]):
+            target = PointMassDistribution(*target)
+            assert w1(dist, target) == pytest.approx(w1(trimmed, target), abs=1e-12)
+
     @pytest.mark.parametrize("k", [2, 3, 9], ids=lambda k: f"k={k}")
     def test_fits_every_moment_the_estimate_carries(self, k):
         est = MomentEstimate(values=0.5 ** np.arange(1, k + 1), n=64, d=64)
         dist = recover_distribution(est)
         target = PointMassDistribution([0.5], [1.0])
-        assert w1(as_point_mass(dist), target) == 0.0
+        assert w1(dist, target) == 0.0
 
     @pytest.mark.parametrize("k", [18, 20], ids=lambda k: f"k={k}")
     def test_huge_high_order_targets_stay_feasible(self, k):
         # 32 two_spike samples in d = 256 at b = 2: the noisy targets of
         # these orders reach 1e10 and beyond, far past the mesh's [0, 1].
         y = sample(factor(CovarianceModel("two_spike", 256)), 32, "gaussian", 1)
-        dist = recover_distribution(estimate_moments(y, k, 2.0))
-        assert dist.lp_status == "optimal"
+        est = estimate_moments(y, k, 2.0)
+        assert lp_solution(est).status == "optimal"
+        dist = recover_distribution(est)
         assert dist.masses.sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_negative_target_still_valid_distribution(self):
@@ -250,17 +223,17 @@ class TestRecoverDistribution:
 
 class TestQuantileVector:
     def test_point_mass(self):
-        dist = SpectralDistribution(support=[0.7], masses=[1.0])
+        dist = PointMassDistribution([0.7], [1.0])
         np.testing.assert_array_equal(quantile_vector(dist, 3), [0.7, 0.7, 0.7])
 
     def test_half_half(self):
-        dist = SpectralDistribution(support=[0.0, 1.0], masses=[0.5, 0.5])
+        dist = PointMassDistribution([0.0, 1.0], [0.5, 0.5])
         np.testing.assert_array_equal(quantile_vector(dist, 2), [0.0, 1.0])
 
     def test_matches_scan_oracle_on_uniform_grid(self):
         support = np.linspace(0.0, 1.0, 11)
         masses = np.full(11, 1.0 / 11)
-        dist = SpectralDistribution(support=support, masses=masses)
+        dist = PointMassDistribution(support, masses)
         got = quantile_vector(dist, 10)
         expected = [scan_quantile(support, masses, i / 11) for i in range(1, 11)]
         np.testing.assert_array_equal(got, expected)
@@ -275,7 +248,7 @@ class TestQuantileVector:
             masses[rng.random(size) < 0.4] = 0.0
             masses[rng.integers(size)] = 1.0
             masses /= masses.sum()
-            dist = SpectralDistribution(support=support, masses=masses)
+            dist = PointMassDistribution(support, masses)
             d = int(rng.integers(1, 9))
             got = quantile_vector(dist, d)
             expected = [
@@ -284,14 +257,12 @@ class TestQuantileVector:
             np.testing.assert_array_equal(got, np.asarray(expected))
 
     def test_ascending(self):
-        dist = SpectralDistribution(
-            support=[0.1, 0.4, 0.9], masses=[0.2, 0.3, 0.5]
-        )
+        dist = PointMassDistribution([0.1, 0.4, 0.9], [0.2, 0.3, 0.5])
         for d in (1, 2, 5, 50):
             assert (np.diff(quantile_vector(dist, d)) >= 0).all()
 
     def test_rejects_bad_d(self):
-        dist = SpectralDistribution(support=[0.5], masses=[1.0])
+        dist = PointMassDistribution([0.5], [1.0])
         with pytest.raises(ValueError):
             quantile_vector(dist, 0)
 
@@ -413,3 +384,42 @@ class TestDefaultKMax:
             for k in (6, 7):
                 assert abs(np.mean(w1s[k]) - np.mean(w1s[5])) <= 0.01 * b, (family, k)
         assert same >= 48
+
+
+class TestOptimalityTolerance:
+    """Why lp.solve's loose "optimal" stays: the tolerance acts as a regulariser.
+
+    lp.solve stops when no reduced cost is below -lp._OPT_TOL * (1 + max|y|),
+    and the variance-scaled weights put moments 4 and 5 near that scale, so
+    the default stop leaves some of their noise unfitted. On fixed draws
+    (seeds [s, d, n], s = 0..5) the mean W1/b to the truth at the default
+    tolerance must be no worse than at 1e-14 in every cell. Measured, default
+    against 1e-14: uniform_spectrum 512x512 0.0727 / 0.0865 (better on only 3
+    of 6 draws, so means are compared), uniform_spectrum 512x64 0.1334 / 0.1467,
+    toeplitz 512x128 0.1106 / 0.1223, toeplitz 256x512 0.0545 / 0.0688,
+    two_spike 512x128 0.1308 / 0.1317, identity 1024x128 equal at 0.0008.
+    """
+
+    @pytest.mark.parametrize(
+        "family, d, n",
+        [
+            ("uniform_spectrum", 512, 512),
+            ("uniform_spectrum", 512, 64),
+            ("toeplitz", 512, 128),
+            ("toeplitz", 256, 512),
+            ("two_spike", 512, 128),
+            ("identity", 1024, 128),
+        ],
+    )
+    def test_default_no_worse_than_tight(self, monkeypatch, family, d, n):
+        model = CovarianceModel(family, d)
+        s, truth = factor(model), true_spectrum(model)
+        cfg = RecoveryConfig(b=float(truth[-1]))
+        ys = [sample(s, n, "gaussian", [seed, d, n]) for seed in range(6)]
+
+        def mean_w1():
+            return np.mean([l1_sorted(estimate_spectrum(y, cfg), truth) / d for y in ys]) / cfg.b
+
+        default = mean_w1()
+        monkeypatch.setattr(lp, "_OPT_TOL", 1e-14)
+        assert default <= mean_w1()

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from specest.recovery import SpectralDistribution, quantile_vector
+from specest.recovery import quantile_vector
 from specest.wasserstein import (
     PointMassDistribution,
     l1_sorted,
@@ -21,8 +21,8 @@ from helpers import from_sorted_vector
 
 def transport_w1(p, q):
     """W1 via the explicit transport LP, minimize sum c_ij x_ij."""
-    np_, nq = p.locations.size, q.locations.size
-    cost = np.abs(p.locations[:, None] - q.locations[None, :]).ravel()
+    np_, nq = p.support.size, q.support.size
+    cost = np.abs(p.support[:, None] - q.support[None, :]).ravel()
     a_eq = []
     b_eq = []
     for i in range(np_):
@@ -44,30 +44,61 @@ def random_distribution(rng, max_atoms=6, lo=-2.0, hi=2.0):
     t = int(rng.integers(1, max_atoms + 1))
     locs = rng.uniform(lo, hi, t)
     mass = rng.uniform(0.1, 1.0, t)
-    return PointMassDistribution(locs, mass / mass.sum())
+    # each atom keeps its mass, so the law is the one drawn
+    order = np.argsort(locs)
+    return PointMassDistribution(locs[order], mass[order] / mass.sum())
 
 
 class TestPointMassDistribution:
-    def test_rejects_nonpositive_mass(self):
-        with pytest.raises(ValueError):
-            PointMassDistribution([0.0, 1.0], [1.0, 0.0])
+    def test_rejects_negative_mass(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            PointMassDistribution([0.0, 1.0], [1.1, -0.1])
 
-    def test_rejects_bad_total(self):
-        # The total prints as a plain float, not as np.float64(...).
-        with pytest.raises(ValueError, match=r"sum to 1 within 1e-09, got 1\.1$"):
-            PointMassDistribution([0.0, 1.0], [0.5, 0.6])
+    # The total prints as a plain float, not as np.float64(...); an empty
+    # support fails the same check.
+    @pytest.mark.parametrize(
+        "support, masses, total",
+        [([0.0, 1.0], [0.4, 0.4], r"0\.8"), ([0.0, 1.0], [0.5, 0.6], r"1\.1"), ([], [], r"0\.0")],
+        ids=["short", "over", "empty"],
+    )
+    def test_rejects_bad_total(self, support, masses, total):
+        with pytest.raises(ValueError, match=rf"sum to 1 within 1e-9, got {total}$"):
+            PointMassDistribution(support, masses)
 
-    def test_rejects_length_mismatch(self):
-        with pytest.raises(ValueError):
-            PointMassDistribution([0.0, 1.0], [1.0])
+    @pytest.mark.parametrize(
+        "support, masses", [([0.0, 1.0], [1.0]), ([[0.0, 1.0]], [[0.5, 0.5]])]
+    )
+    def test_rejects_mismatched_or_non_vector_arrays(self, support, masses):
+        with pytest.raises(ValueError, match="1-d arrays of equal length"):
+            PointMassDistribution(support, masses)
 
-    def test_rejects_no_atoms(self):
-        with pytest.raises(ValueError, match="at least one atom"):
-            PointMassDistribution([], [])
+    @pytest.mark.parametrize(
+        "support, masses",
+        [
+            ([0.0, 1.0], [np.nan, np.nan]),
+            ([0.0, np.nan], [0.5, 0.5]),
+            ([0.0, np.inf], [0.5, 0.5]),
+            ([np.inf], [1.0]),
+        ],
+    )
+    def test_rejects_non_finite(self, support, masses):
+        with pytest.raises(ValueError, match="finite"):
+            PointMassDistribution(support, masses)
 
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            PointMassDistribution([np.inf], [1.0])
+    def test_allows_zero_masses(self):
+        dist = PointMassDistribution([0.0, 0.5, 1.0], [0.0, 1.0, 0.0])
+        assert dist.masses[1] == 1.0
+        assert dist.mesh_coarsened is False
+
+    @pytest.mark.parametrize("support", [[1.0, 0.0], [0.0, 0.5, 0.4, 1.0], [0.7, 0.1, 0.4]])
+    def test_rejects_unsorted_support(self, support):
+        masses = np.full(len(support), 1.0 / len(support))
+        with pytest.raises(ValueError, match="ascending"):
+            PointMassDistribution(support, masses)
+
+    def test_allows_coincident_support_points(self):
+        dist = PointMassDistribution([0.0, 0.5, 0.5, 1.0], [0.25] * 4)
+        np.testing.assert_array_equal(quantile_vector(dist, 3), [0.0, 0.5, 0.5])
 
 
 class TestW1:
@@ -112,12 +143,6 @@ class TestW1:
             q = random_distribution(rng)
             assert w1(p, q) == pytest.approx(transport_w1(p, q), abs=1e-9)
 
-    def test_ignores_atom_ordering(self):
-        p = PointMassDistribution([0.7, 0.1, 0.4], [0.2, 0.5, 0.3])
-        perm = PointMassDistribution([0.1, 0.4, 0.7], [0.5, 0.3, 0.2])
-        q = PointMassDistribution([0.0], [1.0])
-        assert w1(p, q) == pytest.approx(w1(perm, q), abs=1e-15)
-
 
 class TestL1Sorted:
     def test_literal(self):
@@ -159,39 +184,39 @@ class TestQuantize:
     def test_point_mass_stays_put(self):
         p = PointMassDistribution([0.37], [1.0])
         q = quantize(p, 5)
-        np.testing.assert_array_equal(q.locations, np.full(5, 0.37))
+        np.testing.assert_array_equal(q.support, np.full(5, 0.37))
         np.testing.assert_allclose(q.masses, np.full(5, 0.2))
 
     def test_half_half_d2(self):
-        # the same law given sorted, and unsorted with a split atom at 1
+        # the same law with and without a split atom at 1
         for p in (
             PointMassDistribution([0.0, 1.0], [0.5, 0.5]),
-            PointMassDistribution([1.0, 0.0, 1.0], [0.25, 0.5, 0.25]),
+            PointMassDistribution([0.0, 1.0, 1.0], [0.5, 0.25, 0.25]),
         ):
             q = quantize(p, 2)
             # levels 1/3 and 2/3 land on either side of the CDF jump at 0
-            np.testing.assert_array_equal(q.locations, [0.0, 1.0])
+            np.testing.assert_array_equal(q.support, [0.0, 1.0])
 
     def test_output_has_d_equal_masses(self):
         rng = np.random.default_rng(24)
         p = random_distribution(rng)
         for d in (1, 2, 10):
             q = quantize(p, d)
-            assert q.locations.size == d
+            assert q.support.size == d
             np.testing.assert_allclose(q.masses, np.full(d, 1.0 / d))
 
     def test_error_at_most_range_over_d(self):
         rng = np.random.default_rng(25)
         for _ in range(200):
             p = random_distribution(rng, max_atoms=8, lo=0.0, hi=3.0)
-            span = p.locations.max() - p.locations.min()
+            span = p.support.max() - p.support.min()
             for d in (1, 2, 10, 100):
                 assert w1(p, quantize(p, d)) <= span / d + 1e-12
 
     def test_locations_drawn_from_support(self):
         p = PointMassDistribution([0.1, 0.5, 0.9], [0.2, 0.5, 0.3])
         q = quantize(p, 7)
-        assert set(q.locations) <= {0.1, 0.5, 0.9}
+        assert set(q.support) <= {0.1, 0.5, 0.9}
 
     def test_rejects_zero_masses(self):
         p = PointMassDistribution([0.0], [1.0])
@@ -211,6 +236,6 @@ class TestQuantize:
             masses /= masses.sum()
             atoms = masses > 0
             p = PointMassDistribution(mesh[atoms], masses[atoms])
-            dist = SpectralDistribution(support=mesh, masses=masses)
+            dist = PointMassDistribution(mesh, masses)
             for d in (1, 2, 7, 100):
-                np.testing.assert_array_equal(quantize(p, d).locations, quantile_vector(dist, d))
+                np.testing.assert_array_equal(quantize(p, d).support, quantile_vector(dist, d))
