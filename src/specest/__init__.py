@@ -12,7 +12,7 @@ imported from its own module (``specest.synth``, ``specest.lp``, ...).
 from .chebyshev import chebyshev_construction
 from .moments import estimate_moments
 from .recovery import RecoveryConfig, estimate_spectrum, quantile_vector, recover_distribution
-from .wasserstein import l1_sorted, quantize, w1
+from .wasserstein import l1_sorted, w1
 
 __version__ = "0.1.0"
 
@@ -24,6 +24,5 @@ __all__ = [
     "quantile_vector",
     "w1",
     "l1_sorted",
-    "quantize",
     "chebyshev_construction",
 ]

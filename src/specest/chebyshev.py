@@ -58,12 +58,15 @@ def chebyshev_construction(k: int) -> tuple[PointMassDistribution, PointMassDist
 
 
 def moments_of(dist: PointMassDistribution, k: int) -> np.ndarray:
-    """First k raw moments of a point-mass distribution."""
+    """First k raw moments of a point-mass distribution.
+
+    Each moment is the exactly rounded sum (``math.fsum``) of its terms, so
+    the result has the same bits whatever BLAS numpy uses.
+    """
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
-    # The transposed view, not a C-ordered copy: the product's last bits
-    # depend on the layout, and the lower-bound report prints them.
-    return _moment_powers(dist.support, k).T @ dist.masses
+    terms = _moment_powers(dist.support, k) * dist.masses[:, None]
+    return np.array([math.fsum(column) for column in terms.T])
 
 
 def _check(index: int, value: float, lower: float, upper: float) -> dict:

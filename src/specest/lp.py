@@ -88,11 +88,6 @@ def solve(mesh, target, weights, *, max_iterations: int | None = None) -> Simple
     if not np.isfinite(weights).all() or (weights <= 0).any():
         raise ValueError("weights must be finite and strictly positive")
     k, t = target.size, mesh.size
-    # Row i is mesh**(i+1). ``a[:k, :t] = v`` copies values, so only the final
-    # objective's product sees this C order; dropping the copy moves its last bits.
-    v = np.ascontiguousarray(_moment_powers(mesh, k).T)
-    # The clipped target of the module docstring.
-    goal = np.clip(target, v[:, 0], v[:, -1])
     n_cols = t + 2 * k
     m = k + 1
     if max_iterations is None:
@@ -101,7 +96,10 @@ def solve(mesh, target, weights, *, max_iterations: int | None = None) -> Simple
     # Standard form columns: [p (t) | u (k) | v (k)], rows: k moment
     # constraints then the unit-mass constraint.
     a = np.zeros((m, n_cols))
-    a[:k, :t] = v
+    v = a[:k, :t]  # the moment rows: row i is mesh**(i+1)
+    v[:] = _moment_powers(mesh, k).T
+    # The clipped target of the module docstring.
+    goal = np.clip(target, v[:, 0], v[:, -1])
     a[:k, t : t + k] = -np.eye(k)
     a[:k, t + k :] = np.eye(k)
     a[k, :t] = 1.0

@@ -17,7 +17,7 @@ import numpy as np
 from . import lp
 from .linalg import empirical_spectrum
 from .moments import MomentEstimate, estimate_moments
-from .wasserstein import PointMassDistribution, _quantiles
+from .wasserstein import PointMassDistribution
 
 __all__ = [
     "MESH_CAP",
@@ -111,8 +111,18 @@ def recover_distribution(estimate: MomentEstimate) -> PointMassDistribution:
 
 
 def quantile_vector(dist: PointMassDistribution, d: int) -> np.ndarray:
-    """d eigenvalue estimates on [0, 1]: the i/(d+1) quantiles of dist, ascending."""
-    return _quantiles(dist.support, dist.masses, d)
+    """d eigenvalue estimates on [0, 1]: the i/(d+1) quantiles of dist, ascending.
+
+    Entry i is the smallest support point where the CDF reaches i/(d+1), so
+    zero-mass points are never picked. Equal masses 1/d on the result are
+    within W1 distance (range of support)/d of dist.
+    """
+    if d < 1:
+        raise ValueError(f"need d >= 1, got {d}")
+    cdf = np.cumsum(dist.masses)
+    levels = np.arange(1, d + 1) / (d + 1)
+    idx = np.minimum(np.searchsorted(cdf, levels, side="left"), dist.support.size - 1)
+    return dist.support[idx]
 
 
 def estimate_spectrum(y, cfg: RecoveryConfig) -> np.ndarray:

@@ -1,8 +1,9 @@
-"""Wasserstein-1 distance and quantile quantization for discrete distributions.
+"""The point-mass distribution record and the Wasserstein-1 distance.
 
 All distributions here are finite collections of point masses on the
 real line. W1 between two of them is the integral of the absolute CDF
 difference, computed exactly by a sweep over the merged breakpoints.
+Quantile rounding lives in ``recovery.quantile_vector``.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ __all__ = [
     "PointMassDistribution",
     "w1",
     "l1_sorted",
-    "quantize",
 ]
 
 @dataclass(frozen=True)
@@ -76,26 +76,3 @@ def l1_sorted(a, b) -> float:
     if (np.diff(av) < 0).any() or (np.diff(bv) < 0).any():
         raise ValueError("inputs must be ascending")
     return float(np.abs(av - bv).sum())
-
-
-def _quantiles(support: np.ndarray, masses: np.ndarray, d: int) -> np.ndarray:
-    """The i/(d+1) quantiles, i = 1..d, of ``masses`` on a nondecreasing ``support``.
-
-    Entry i is the smallest support point where the CDF reaches i/(d+1),
-    so the output is ascending. Masses must be nonnegative; zero masses
-    and coincident support points are allowed.
-    """
-    if d < 1:
-        raise ValueError(f"need d >= 1, got {d}")
-    cdf = np.cumsum(masses)
-    levels = np.arange(1, d + 1) / (d + 1)
-    idx = np.minimum(np.searchsorted(cdf, levels, side="left"), support.size - 1)
-    return support[idx]
-
-
-def quantize(p: PointMassDistribution, d: int) -> PointMassDistribution:
-    """Round ``p`` to d equal masses at its i/(d+1) quantiles, i = 1..d.
-
-    The result's W1 distance from ``p`` is at most (range of support)/d.
-    """
-    return PointMassDistribution(_quantiles(p.support, p.masses, d), np.full(d, 1.0 / d))

@@ -15,12 +15,11 @@ from specest.chebyshev import chebyshev_construction, moments_of
 from specest.linalg import empirical_spectrum
 from specest.lp import solve
 from specest.moments import estimate_moments
-from specest.recovery import RecoveryConfig, build_mesh
+from specest.recovery import RecoveryConfig, build_mesh, quantile_vector
 from specest.synth import CovarianceModel, factor, sample, true_spectrum
 from specest.wasserstein import (
     PointMassDistribution,
     l1_sorted,
-    quantize,
     w1,
 )
 
@@ -200,7 +199,7 @@ def test_criterion_7_sorted_l1_and_quantization_facts():
         p = PointMassDistribution(locs, mass / mass.sum())
         span = float(locs[-1] - locs[0])
         for d in (1, 2, 10, 100):
-            excess = w1(p, quantize(p, d)) - (span / d + 1e-12)
+            excess = w1(p, from_sorted_vector(quantile_vector(p, d))) - (span / d + 1e-12)
             worst_excess = max(worst_excess, excess)
     ok = worst_identity <= 1e-10 and worst_excess <= 0.0
     report(

@@ -1,6 +1,7 @@
-"""The package's public surface (the documented top-level names and every module's
-``__all__``), its one runtime dependency, numpy, and one home for each of moment
-powers and quantiles."""
+"""The package's public surface (the documented top-level names, every module's
+``__all__``, and a caller inside the package for every public function and class),
+its one runtime dependency, numpy, and one home for each of moment powers and
+quantiles."""
 
 import ast
 import importlib
@@ -20,7 +21,6 @@ DOCUMENTED = {
     "quantile_vector",
     "w1",
     "l1_sorted",
-    "quantize",
     "chebyshev_construction",
 }
 
@@ -76,3 +76,37 @@ def test_called_from_exactly_one_source(name):
         if any(_called_name(node) == name for node in ast.walk(tree)):
             callers.append(path.name)
     assert len(callers) == 1, f"{name} is called from {callers}"
+
+
+def _public_definitions(tree):
+    return [
+        node
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+    ]
+
+
+def _referenced_name(node) -> str | None:
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return None
+
+
+# Every public function and class has a caller in the package; names and
+# attributes count, ``__all__`` strings and import lines do not.
+def test_every_public_definition_is_referenced():
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
+    unreferenced = []
+    for name, tree in trees.items():
+        for definition in _public_definitions(tree):
+            inside = {id(node) for node in ast.walk(definition)}
+            if not any(
+                _referenced_name(node) == definition.name
+                for other, other_tree in trees.items()
+                for node in ast.walk(other_tree)
+                if other != name or id(node) not in inside
+            ):
+                unreferenced.append(f"{name[:-3]}.{definition.name}")
+    assert not unreferenced, f"nothing in src/ references {unreferenced}"

@@ -4,18 +4,21 @@ The `lower-bound` JSON and CSV reports for every even k from 4 to 40,
 `estimate_spectrum` at the default `RecoveryConfig` on three fixed draws
 and at k_max = 7 on the one shape whose mesh hits ``MESH_CAP``, and two
 small `simulate` runs are hashed and compared with ``golden_digests.json``.
-A `simulate` digest covers its exit code, every CDF file in name order and
-``summary.csv`` without its ``runtime_ms`` column. Every case goes
-through BLAS: the report's moment differences come from the matrix-vector
-product in ``chebyshev.moments_of``, and the estimates from the gram and
-the moment kernel's products. Their bits depend on numpy, the BLAS, the
-BLAS thread count and the CPU the BLAS picks its kernels for, so the file
-records that environment, and the other cases skip in any other. The four
-`estimate_spectrum` cases run everywhere: an estimate is a vector of mesh
-points times b, and the rounding the BLAS adds rarely moves a quantile to
-another mesh point. They held under OpenBLAS's Haswell and Nehalem kernels
-and on one BLAS thread, while the `simulate` digests moved under the forced
-kernels; other numpy versions and non-x86 CPUs are untried.
+Each `simulate` run gives two digests. Its portable part covers the exit
+code, the true and recovered CDF files in name order and ``summary.csv``
+without its ``w1_empirical`` and ``runtime_ms`` columns; its empirical part
+covers the empirical CDF files and the ``w1_empirical`` column.
+
+The empirical spectrum's last bits come from the BLAS: they depend on
+numpy, the BLAS, the BLAS thread count and the CPU the BLAS picks its
+kernels for, so the file records that environment, and the two empirical
+parts skip in any other. The other 44 cases run everywhere. The report's
+moment differences are exact sums (``chebyshev.moments_of``), and an
+estimate is a vector of mesh points times b, where the rounding the BLAS
+adds to the gram and the moment kernel rarely moves a quantile to another
+mesh point. The 44 held under OpenBLAS's Haswell and Nehalem kernels and on
+one BLAS thread, while the empirical parts moved under the forced kernels;
+other numpy versions and non-x86 CPUs are untried.
 
 A change that alters any of these outputs on purpose regenerates the file
 from the repository root with
@@ -73,6 +76,8 @@ def environment() -> dict:
         "numpy": np.__version__,
         "blas": f"{blas['name']} {blas['version']}",
         "blas_threads": ", ".join(threads + [f"{cpus} CPUs"]),
+        # OpenBLAS reads this at load time to force kernels for another CPU.
+        "blas_coretype": os.environ.get("OPENBLAS_CORETYPE", "unset"),
         "cpu_features": sorted(name for name, found in __cpu_features__.items() if found),
     }
 
@@ -100,17 +105,27 @@ def _estimate(family: str, d: int, n: int, seed: int, k_max: int = RecoveryConfi
     return estimate_spectrum(y, cfg).astype("<f8").tobytes()
 
 
-def _simulate(family: str, d: int, seed: int) -> bytes:
+def _simulate(family: str, d: int, seed: int, part: str) -> bytes:
+    """The ``part`` ("portable" or "empirical") of one `simulate` run."""
     with tempfile.TemporaryDirectory() as out, contextlib.redirect_stderr(io.StringIO()):
         argv = ["simulate", "--family", family, "--d", str(d), "--trials", "2"]
         code = main(argv + ["--seed", str(seed), "--out", out])
         files = sorted(Path(out).glob("cdf_*.csv"))
-        parts = [f"exit {code}\n".encode()]
-        parts += [path.name.encode() + b"\n" + path.read_bytes() for path in files]
+        empirical = part == "empirical"
+        parts = [] if empirical else [f"exit {code}\n".encode()]
+        parts += [
+            path.name.encode() + b"\n" + path.read_bytes()
+            for path in files
+            if path.name.endswith("_empirical.csv") == empirical
+        ]
         with open(Path(out, "summary.csv"), encoding="utf-8", newline="") as fh:
             rows = list(csv.reader(fh))
-    drop = rows[0].index("runtime_ms")
-    parts += [",".join(row[:drop] + row[drop + 1 :]).encode() + b"\n" for row in rows]
+    header = rows[0]
+    if empirical:
+        keep = [header.index("w1_empirical")]
+    else:
+        keep = [i for i, col in enumerate(header) if col not in ("w1_empirical", "runtime_ms")]
+    parts += [",".join(row[i] for i in keep).encode() + b"\n" for row in rows]
     return b"".join(parts)
 
 
@@ -130,13 +145,15 @@ CASES = {
         for f, d, n, seed, k in CAPPED_CASES
     },
     **{
-        f"simulate --family {f} --d {d} --trials 2 --seed {seed}": partial(_simulate, f, d, seed)
+        f"simulate --family {f} --d {d} --trials 2 --seed {seed} {part}":
+        partial(_simulate, f, d, seed, part)
         for f, d, seed in SIMULATE_CASES
+        for part in ("portable", "empirical")
     },
 }
 
 
-PORTABLE = {name for name in CASES if name.startswith("estimate_spectrum")}
+PORTABLE = {name for name in CASES if not name.endswith(" empirical")}
 
 
 def digest(name: str) -> str:

@@ -12,7 +12,6 @@ from specest.recovery import quantile_vector
 from specest.wasserstein import (
     PointMassDistribution,
     l1_sorted,
-    quantize,
     w1,
 )
 
@@ -180,10 +179,15 @@ class TestL1Sorted:
             l1_sorted(a, b)
 
 
+def rounded(p, d):
+    """p rounded to d equal masses at its quantile_vector."""
+    return from_sorted_vector(quantile_vector(p, d))
+
+
 class TestQuantize:
     def test_point_mass_stays_put(self):
         p = PointMassDistribution([0.37], [1.0])
-        q = quantize(p, 5)
+        q = rounded(p, 5)
         np.testing.assert_array_equal(q.support, np.full(5, 0.37))
         np.testing.assert_allclose(q.masses, np.full(5, 0.2))
 
@@ -193,17 +197,9 @@ class TestQuantize:
             PointMassDistribution([0.0, 1.0], [0.5, 0.5]),
             PointMassDistribution([0.0, 1.0, 1.0], [0.5, 0.25, 0.25]),
         ):
-            q = quantize(p, 2)
+            q = rounded(p, 2)
             # levels 1/3 and 2/3 land on either side of the CDF jump at 0
             np.testing.assert_array_equal(q.support, [0.0, 1.0])
-
-    def test_output_has_d_equal_masses(self):
-        rng = np.random.default_rng(24)
-        p = random_distribution(rng)
-        for d in (1, 2, 10):
-            q = quantize(p, d)
-            assert q.support.size == d
-            np.testing.assert_allclose(q.masses, np.full(d, 1.0 / d))
 
     def test_error_at_most_range_over_d(self):
         rng = np.random.default_rng(25)
@@ -211,21 +207,16 @@ class TestQuantize:
             p = random_distribution(rng, max_atoms=8, lo=0.0, hi=3.0)
             span = p.support.max() - p.support.min()
             for d in (1, 2, 10, 100):
-                assert w1(p, quantize(p, d)) <= span / d + 1e-12
+                assert w1(p, rounded(p, d)) <= span / d + 1e-12
 
     def test_locations_drawn_from_support(self):
         p = PointMassDistribution([0.1, 0.5, 0.9], [0.2, 0.5, 0.3])
-        q = quantize(p, 7)
+        q = rounded(p, 7)
         assert set(q.support) <= {0.1, 0.5, 0.9}
 
-    def test_rejects_zero_masses(self):
-        p = PointMassDistribution([0.0], [1.0])
-        with pytest.raises(ValueError):
-            quantize(p, 0)
-
-    def test_matches_quantile_vector(self):
-        # quantize sees only the atoms; quantile_vector also the mesh
-        # points left at zero mass, which must never be picked
+    def test_zero_mass_mesh_points_never_picked(self):
+        # the quantiles of the atoms alone equal those of the whole mesh,
+        # zero-mass points included
         rng = np.random.default_rng(26)
         for _ in range(300):
             size = int(rng.integers(1, 20))
@@ -238,4 +229,4 @@ class TestQuantize:
             p = PointMassDistribution(mesh[atoms], masses[atoms])
             dist = PointMassDistribution(mesh, masses)
             for d in (1, 2, 7, 100):
-                np.testing.assert_array_equal(quantize(p, d).support, quantile_vector(dist, d))
+                np.testing.assert_array_equal(quantile_vector(p, d), quantile_vector(dist, d))
