@@ -64,9 +64,10 @@ def run_experiment(args) -> tuple[list[list], list[str]]:
 
     Returns the summary rows (``SUMMARY_COLUMNS``) in key order plus
     failure notes.
-    The seed and every model, config and sample count are checked before
-    the output directory is created, so a bad seed, family/dimension pair,
-    bound or ratio leaves nothing behind.
+    The seed and every model, config and sample count are checked, and
+    every factor built, before the output directory is created, so a bad
+    seed, family/dimension pair, bound or ratio, or a factor too large to
+    allocate, leaves nothing behind.
     """
     if args.seed < 0:
         raise ValueError(f"seed must be non-negative, got {args.seed}")
@@ -83,13 +84,11 @@ def run_experiment(args) -> tuple[list[list], list[str]]:
             raise ValueError(
                 f"an n ratio at d={d} gives n={max(ns):.3g}, past numpy's array-size limit"
             )
-        dims.append((model, true_vec, cfg, ns))
+        dims.append((factor(model), true_vec, cfg, d, ns))
     os.makedirs(args.out, exist_ok=True)
     rows: list[list] = []
     failures: list[str] = []
-    for model, true_vec, cfg, ns in dims:
-        d = model.d
-        s = factor(model)
+    for s, true_vec, cfg, d, ns in dims:
         for n in ns:
             for t in range(args.trials):
                 try:

@@ -46,7 +46,9 @@ def gram(y) -> np.ndarray:
     a = arr @ arr.T
     # A NaN or infinity in row i makes the diagonal entry sum_j y_ij^2
     # non-finite, so the input needs a pass only when the output fails.
-    if not np.isfinite(a).all():
+    # min and max propagate NaN and find either infinity without the n x n
+    # boolean temporary of isfinite(a).
+    if not (np.isfinite(a.min()) and np.isfinite(a.max())):
         if not np.isfinite(arr).all():
             raise NonFiniteError("data matrix contains non-finite entries")
         raise NonFiniteError("gram matrix overflowed to non-finite values")

@@ -24,10 +24,17 @@ an elementwise inner product; and splitting m = h + p,
 
 With h = floor(k_max / 2), the powers G^2..G^h and one pass of
 G (G^h)^T give every trace up to k_max: floor(k_max / 2) products in
-all (none for k_max <= 2). Each is computed only on the tiles (I, J >= I)
-where its upper triangular output can be non-zero, over the inner range
-where both factors can be: about a sixth of the flops of a dense n x n
-product as n grows.
+all (none for k_max <= 2). The diagonal of that last product also gives
+tr(G (G^h)^T) = <G^h, G>, the trace for k = h + 1. Each product is
+computed only on the tiles (I, J >= I) where its upper triangular output
+can be non-zero, over the inner range where both factors can be: about a
+sixth of the flops of a dense n x n product as n grows.
+
+A strictly upper triangular power leaves the lower triangle of its n x n
+array unused, so the powers above G^ceil(h / 2) are kept, transposed, in
+the lower triangles of the arrays that hold G..G^ceil(h / 2). The kernel
+keeps ceil(h / 2) n x n arrays: one, the gram's own, for k_max <= 5, and
+two for k_max <= 9.
 
 The average requires no bias correction at any sample size, which is
 what makes the estimator usable when n is far below d.
@@ -86,22 +93,26 @@ def _tile_edge(n: int) -> int:
     return 128 if 256 < n < 2048 else 256
 
 
-def _blocks(n: int, start: int = 0):
-    edge = _tile_edge(n)
-    for i in range(start, n, edge):
-        yield i, min(i + edge, n)
-
-
 def _cycle_traces(a: np.ndarray, k_max: int) -> np.ndarray:
     """tr(G^(k-1) A) for k = 1..k_max, where G = strict_upper(a).
 
-    Overwrites ``a`` with G: past the trace of A, only its strict upper
-    triangle is needed. With h = k_max // 2, the traces for k = 2..h+1
-    come from tr(G^m A) = <G^m, G> over the powers G..G^h, and the rest
-    from tr(G^(h+p) A) = <G^p, G (G^h)^T>, p = 1..k_max-1-h, with
-    G (G^h)^T formed one tile at a time. That is k_max // 2 matrix
-    products (none for k_max <= 2), and h n x n arrays plus two tiles are
-    live at once.
+    Overwrites ``a``: past the trace of A, its strict upper triangle holds
+    G. With h = k_max // 2, the traces for k = 2..h come from
+    tr(G^m A) = <G^m, G>, the one for k = h+1 from the trace of G (G^h)^T,
+    and the rest from tr(G^(h+p) A) = <G^p, G (G^h)^T>, p = 1..k_max-1-h,
+    with G (G^h)^T formed one tile at a time. That is k_max // 2 matrix
+    products (none for k_max <= 2).
+
+    With u = ceil(h / 2), the powers G..G^u stand upright in the upper
+    triangles of u n x n arrays, G in ``a`` itself. Each power G^(u+r),
+    r = 1..h-u, is G^u G^r, and its transpose fills the strictly lower
+    off-diagonal tiles of the r-th array (which no product reads), with
+    its diagonal tiles, transposed, in an n x edge side array of their
+    own: a diagonal tile of an upright power must keep the zeros below
+    its diagonal. So u n x n arrays, h - u side arrays and two tiles are
+    live at once. Every product reads both factors upright; the last pass
+    gathers the rows of a transposed G^h it needs, one tile row at a time,
+    over side rows no later tile reads.
 
     Every product is taken over tiles [i, j) x [c, e) with c >= i: the
     traces read only the upper triangle of each product, and rows [i, j)
@@ -115,28 +126,57 @@ def _cycle_traces(a: np.ndarray, k_max: int) -> np.ndarray:
     out[0] = np.trace(a)
     if k_max == 1:
         return out
+    edge = _tile_edge(n)
+    blocks = [(i, min(i + edge, n)) for i in range(0, n, edge)]
     g = a
-    for i, j in _blocks(n):
-        g[i:j, :i] = 0.0
+    for i, j in blocks:
         g[i:j, i:j] = np.triu(g[i:j, i:j], 1)
+        out[1] += np.einsum("ij,ij->", g[i:j, i:], g[i:j, i:])
     h = k_max // 2
-    powers = [g]
-    for _ in range(h - 1):
-        power = np.zeros(g.shape)
-        for i, j in _blocks(n):
-            for c, e in _blocks(n, i):
-                np.matmul(powers[-1][i:j, i:e], g[i:e, c:e], out=power[i:j, c:e])
-        powers.append(power)
-    for m, power in enumerate(powers, start=1):
-        out[m] = np.vdot(power, g)
+    u = (h + 1) // 2
+    bufs = [g] + [np.empty((n, n)) for _ in range(u - 1)]
+    sides = [np.empty((n, blocks[0][1])) for _ in range(h - u)]
+
+    def stored(m, i, j, c, e):
+        # Where G^m[i:j, c:e] (c >= i) is kept; for m > u, its transpose.
+        if m <= u:
+            return bufs[m - 1][i:j, c:e]
+        return sides[m - u - 1][i:j, : j - i] if c == i else bufs[m - u - 1][c:e, i:j]
+
+    for m in range(2, h + 1):
+        # G^m = G^s G^(m-s), both factors upright.
+        s = min(m - 1, u)
+        left, right = bufs[s - 1], bufs[m - s - 1]
+        for b, (i, j) in enumerate(blocks):
+            for c, e in blocks[b:]:
+                x = stored(m, i, j, c, e)
+                if m <= u:
+                    np.matmul(left[i:j, i:e], right[i:e, c:e], out=x)
+                else:
+                    np.matmul(right[i:e, c:e].T, left[i:j, i:e].T, out=x)
+                if m < h:
+                    out[m] += np.einsum("ij,ij->" if m <= u else "ij,ji->", x, g[i:j, c:e])
     rest = k_max - 1 - h
-    if rest:
-        top = powers[-1]
-        for i, j in _blocks(n):
-            for c, e in _blocks(n, i):
-                w = g[i:j, c:] @ top[c:e, c:].T
-                for p, power in enumerate(powers[:rest], start=1):
-                    out[h + p] += np.vdot(power[i:j, c:e], w)
+    if not rest:
+        return out
+    # Block columns last to first, so that rows c: of G^h's side array can
+    # take (G^h[c:e, c:])^T: its diagonal tile is already in place, and the
+    # rows below it hold diagonal tiles of blocks past c, which no later
+    # tile reads.
+    for b in reversed(range(len(blocks))):
+        c, e = blocks[b]
+        if h == 1:
+            top = g[c:e, c:].T
+        else:
+            top = sides[-1][c:, : e - c]
+            top[e - c :] = bufs[h - u - 1][e:, c:e]
+        for i, j in blocks[: b + 1]:
+            w = g[i:j, c:] @ top
+            if i == c and h > 1:
+                out[h] += np.trace(w)
+            for p in range(1, rest + 1):
+                pair = "ij,ij->" if p <= u else "ij,ji->"
+                out[h + p] += np.einsum(pair, stored(p, i, j, c, e), w)
     return out
 
 
@@ -180,8 +220,10 @@ def estimate_moments(y, k_max: int, b: float = 1.0) -> MomentEstimate:
     if not 0 < b < math.inf:
         raise ValueError(f"scale must be positive and finite, got b={b}")
     # Scaling the gram matrix by 1/b is the same map as scaling the
-    # samples by 1/sqrt(b), one n^2 pass instead of an n*d pass. In place,
-    # so one n x n array is live; _cycle_traces then overwrites it with G.
+    # samples by 1/sqrt(b), one n^2 pass instead of an n*d pass. In place:
+    # _cycle_traces then keeps G in its upper triangle and the transposed
+    # top powers of G in its lower one, so for k_max <= 5 this is the only
+    # n x n array (two for k_max <= 9).
     a = gram(y)
     a /= b
     traces = _cycle_traces(a, k_max)

@@ -224,6 +224,50 @@ class TestSimulate:
         assert capsys.readouterr().err.count("error:") == 1
         assert not out.exists()
 
+    def test_factor_too_large_to_allocate_leaves_no_directory(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # The last of two dimensions fails, as a d x d toeplitz factor past
+        # the machine's memory does, after the first one was built.
+        def factor_or_fail(model):
+            if model.d == 32:
+                raise MemoryError("Unable to allocate 298. GiB")
+            return factor(model)
+
+        monkeypatch.setattr("specest.cli.factor", factor_or_fail)
+        out = tmp_path / "run"
+        code = main(
+            ["simulate", "--family", "identity", "--d", "16", "--d", "32", "--out", str(out)]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and "298. GiB" in err and "failed" not in err
+        assert not out.exists()
+
+    def test_memory_error_while_sampling_is_a_trial_failure(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        def sample_fails(*args):
+            raise MemoryError("Unable to allocate the samples")
+
+        monkeypatch.setattr("specest.cli.sample", sample_fails)
+        out = tmp_path / "run"
+        code = main(
+            [
+                "simulate",
+                "--family", "identity",
+                "--d", "16",
+                "--n-ratio", "1",
+                "--trials", "2",
+                "--out", str(out),
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "identity d=16 n=16 trial=1: MemoryError: Unable to allocate" in err
+        assert "error:" not in err
+        assert read_summary(out / "summary.csv") == [list(SUMMARY_COLUMNS)]
+
     # 1e308 parses, but n = ratio * d overflows; that is caught after parsing.
     # 1e300 and 1e17 at d=16 give a finite n past numpy's array-size limit.
     @pytest.mark.parametrize(

@@ -218,31 +218,49 @@ class TestCycleTraceKernel:
             got = moments._cycle_traces(a.copy(), k_max)
             np.testing.assert_allclose(got, product_traces(a, k_max), rtol=1e-12, atol=0)
 
-    def test_peak_memory_within_four_gram_sized_arrays(self):
-        n = 1024
-        y = np.random.default_rng(42).standard_normal((n, 512))
-        tracemalloc.start()
-        try:
-            estimate_moments(y, 7, 3.0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 4 * 8 * n * n + 64 * 1024
+    def test_edge_256_with_one_row_last_tile_matches_dense_products(self):
+        # n = 2049: eight tiles of 256, then a last tile of one row, which
+        # is also the last block's whole diagonal tile and side-array row.
+        n = 2049
+        y = np.random.default_rng(44).standard_normal((n, 64))
+        a = gram(y)
+        ref = product_traces(a, 7)
+        for k_max in (5, 7):
+            got = moments._cycle_traces(a.copy(), k_max)
+            np.testing.assert_allclose(got, ref[:k_max], rtol=1e-12, atol=0)
 
-    @pytest.mark.parametrize("k_max", [5, 7, 9])
-    def test_peak_memory_is_powers_plus_two_tiles(self, k_max):
-        # The h = k_max // 2 powers of G (the first one is the gram itself),
-        # plus one tile of G (G^h)^T and one flattened tile of G^p.
-        n = 1024
-        edge = moments._tile_edge(n)
-        y = np.random.default_rng(42).standard_normal((n, 512))
+    @staticmethod
+    def peak_bytes(y, k_max):
         tracemalloc.start()
         try:
             estimate_moments(y, k_max, 3.0)
-            peak = tracemalloc.get_traced_memory()[1]
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= (k_max // 2) * 8 * n * n + 2 * 8 * edge**2 + 64 * 1024
+
+    @staticmethod
+    def budget(n, k_max, edge):
+        # With h = k_max // 2: ceil(h / 2) n x n arrays (the first one is the
+        # gram itself), one n x edge side array for each of the other
+        # floor(h / 2) powers, and two tiles: one of G (G^h)^T while the
+        # next one is formed. Nothing else of size n^2: not the gram's
+        # finiteness check, not a power of its own.
+        h = k_max // 2
+        return (h - h // 2) * 8 * n * n + (h // 2) * 8 * n * edge + 2 * 8 * edge**2
+
+    def test_peak_memory_within_two_gram_sized_arrays(self):
+        # k_max = 7 keeps G with G^3 transposed below it, and G^2: two n x n
+        # arrays, here with tiles of 256 and a one-row last tile.
+        n = 2049
+        y = np.random.default_rng(42).standard_normal((n, 64))
+        assert self.peak_bytes(y, 7) <= self.budget(n, 7, moments._tile_edge(n)) + 64 * 1024
+
+    @pytest.mark.parametrize("k_max", [3, 4, 5, 6, 7, 9])
+    def test_peak_memory_is_powers_sides_and_tiles(self, k_max):
+        n = 1024
+        y = np.random.default_rng(42).standard_normal((n, 512))
+        budget = self.budget(n, k_max, moments._tile_edge(n))
+        assert self.peak_bytes(y, k_max) <= budget + 64 * 1024
 
 
 class TestEmpiricalMoment:
