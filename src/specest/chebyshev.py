@@ -26,14 +26,10 @@ __all__ = [
 ]
 
 
-def _validate_order(k: int) -> None:
-    if k < 4 or k % 2 != 0:
-        raise ValueError(f"construction needs an even order k >= 4, got k={k}")
-
-
 def chebyshev_signed_measure(k: int) -> tuple[np.ndarray, np.ndarray]:
     """Chebyshev roots (ascending) and their weights 1 / T_k'(root)."""
-    _validate_order(k)
+    if k < 4 or k % 2 != 0:
+        raise ValueError(f"construction needs an even order k >= 4, got k={k}")
     i = np.arange(1, k + 1)
     theta = (2 * i - 1) * math.pi / (2 * k)
     roots = -np.cos(theta)

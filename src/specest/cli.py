@@ -197,8 +197,8 @@ def cmd_estimate(args) -> int:
     # After the estimate, so an input error prints one error: line alone.
     if args.b is None:
         print(
-            f"note: using heuristic eigenvalue bound b={b!r} "
-            "(2x top empirical eigenvalue); pass --b for a guaranteed bound",
+            f"note: using heuristic eigenvalue bound b={b!r} (2x top empirical "
+            "eigenvalue; 1.0 if that is 0); pass --b for a guaranteed bound",
             file=sys.stderr,
         )
     _emit("".join(f"{repr(float(v))}\n" for v in spectrum), args.out)

@@ -85,12 +85,13 @@ class MomentEstimate:
 def _tile_edge(n: int) -> int:
     """Tile edge of the triangular products for an n x n gram.
 
-    At k_max = 5 on a 2-CPU host (medians of 9), 128 beat 256 at
-    n = 512 (4.0-4.1 against 4.9-5.0 ms) and n = 1024 (21.5-22.2 against
-    23.1-23.4 ms), and 256 was faster at n = 2048 (127-132 against
-    135 ms). At n <= 256 the 256 edge gives one tile.
+    At k_max = 5 on a 2-CPU host, 128 beat 256 at n = 200 and 256, where
+    256 is one tile (0.70-0.75 against 0.83-0.89 and 1.31-1.35 against
+    1.80-1.85 ms, medians of 61), and at n = 512 and 1024 (4.0-4.1 against
+    4.9-5.0 and 21.5-22.2 against 23.1-23.4 ms, medians of 9); 256 won at
+    n = 2048 (127-132 against 135 ms). n <= 128 is one tile either way.
     """
-    return 128 if 256 < n < 2048 else 256
+    return 128 if n < 2048 else 256
 
 
 def _cycle_traces(a: np.ndarray, k_max: int) -> np.ndarray:

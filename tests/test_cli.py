@@ -355,6 +355,13 @@ class TestEstimate:
         assert code == 0
         assert "heuristic" in capsys.readouterr().err
 
+    def test_heuristic_bound_on_zero_data_names_the_fallback(self, tmp_path, capsys):
+        # The top empirical eigenvalue is 0, so b is the fallback 1.0, not twice it.
+        path = tmp_path / "y.csv"
+        path.write_text("0,0\n0,0\n")
+        assert main(["estimate", str(path), "--k", "2"]) == 0
+        assert "b=1.0 (2x top empirical eigenvalue; 1.0 if that is 0)" in capsys.readouterr().err
+
     def test_explicit_bound_not_flagged(self, tmp_path, capsys):
         rng = np.random.default_rng(62)
         path = tmp_path / "y.csv"

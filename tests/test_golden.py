@@ -2,8 +2,9 @@
 
 The `lower-bound` JSON and CSV reports for every even k from 4 to 40,
 `estimate_spectrum` at the default `RecoveryConfig` on three fixed draws
-and at k_max = 7 on the one shape whose mesh hits ``MESH_CAP``, and two
-small `simulate` runs are hashed and compared with ``golden_digests.json``.
+and at k_max = 7 on the one shape whose mesh hits ``MESH_CAP``, one small
+draw of each entry law and two small `simulate` runs are hashed and
+compared with ``golden_digests.json``.
 Each `simulate` run gives two digests. Its portable part covers the exit
 code, the true and recovered CDF files in name order and ``summary.csv``
 without its ``w1_empirical`` and ``runtime_ms`` columns; its empirical part
@@ -12,13 +13,15 @@ covers the empirical CDF files and the ``w1_empirical`` column.
 The empirical spectrum's last bits come from the BLAS: they depend on
 numpy, the BLAS, the BLAS thread count and the CPU the BLAS picks its
 kernels for, so the file records that environment, and the two empirical
-parts skip in any other. The other 44 cases run everywhere. The report's
-moment differences are exact sums (``chebyshev.moments_of``), and an
-estimate is a vector of mesh points times b, where the rounding the BLAS
-adds to the gram and the moment kernel rarely moves a quantile to another
-mesh point. The 44 held under OpenBLAS's Haswell and Nehalem kernels and on
-one BLAS thread, while the empirical parts moved under the forced kernels;
-other numpy versions and non-x86 CPUs are untried.
+parts skip in any other. The other 47 cases run everywhere. The report's
+moment differences are exact sums (``chebyshev.moments_of``), a draw with
+a diagonal factor scales its entries without the BLAS, and an estimate is
+a vector of mesh points times b, where the rounding the BLAS adds to the
+gram and the moment kernel rarely moves a quantile to another mesh point.
+The 44 cases other than the draws held under OpenBLAS's Haswell and
+Nehalem kernels and on one BLAS thread, while the empirical parts moved
+under the forced kernels; other numpy versions and non-x86 CPUs are
+untried.
 
 A change that alters any of these outputs on purpose regenerates the file
 from the repository root with
@@ -45,13 +48,13 @@ import pytest
 
 from specest.cli import main
 from specest.recovery import RecoveryConfig, estimate_spectrum
-from specest.synth import CovarianceModel, factor, sample, true_spectrum
+from specest.synth import ENTRY_KINDS, CovarianceModel, factor, sample, true_spectrum
 
 DIGEST_FILE = Path(__file__).with_name("golden_digests.json")
 THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 
-# (family, d, n, seed): n = 512 runs the moment kernel on tiles of 128,
-# n = 256 and n = 64 on one tile.
+# (family, d, n, seed): n = 512 and n = 256 run the moment kernel on tiles
+# of 128, n = 64 on one tile.
 ESTIMATE_CASES = [
     ("two_spike", 256, 256, 1),
     ("toeplitz", 128, 512, 2),
@@ -60,6 +63,9 @@ ESTIMATE_CASES = [
 # (family, d, n, seed, k_max): the benchmark's wide cell, the one shape here
 # whose mesh of max(n, d) + 1 points would pass MESH_CAP.
 CAPPED_CASES = [("two_spike", 4096, 256, 4, 7)]
+# (family, d, n, seed): the raw stream of every entry law, each scaled by a
+# diagonal factor.
+DRAW_CASES = [("uniform_spectrum", 64, 16, 7)]
 # (family, d, seed): the diagonal-factor and the dense-factor sampling path.
 # toeplitz d = 32 exits 1: its n = 4 cell has fewer samples than k_max.
 SIMULATE_CASES = [("uniform_spectrum", 64, 5), ("toeplitz", 32, 6)]
@@ -105,6 +111,10 @@ def _estimate(family: str, d: int, n: int, seed: int, k_max: int = RecoveryConfi
     return estimate_spectrum(y, cfg).astype("<f8").tobytes()
 
 
+def _sample(family: str, d: int, n: int, kind: str, seed: int) -> bytes:
+    return sample(factor(CovarianceModel(family, d)), n, kind, seed).astype("<f8").tobytes()
+
+
 def _simulate(family: str, d: int, seed: int, part: str) -> bytes:
     """The ``part`` ("portable" or "empirical") of one `simulate` run."""
     with tempfile.TemporaryDirectory() as out, contextlib.redirect_stderr(io.StringIO()):
@@ -143,6 +153,11 @@ CASES = {
         f"estimate_spectrum {f} d={d} n={n} seed={seed} k_max={k}":
         partial(_estimate, f, d, n, seed, k)
         for f, d, n, seed, k in CAPPED_CASES
+    },
+    **{
+        f"sample {f} d={d} n={n} {kind} seed={seed}": partial(_sample, f, d, n, kind, seed)
+        for f, d, n, seed in DRAW_CASES
+        for kind in ENTRY_KINDS
     },
     **{
         f"simulate --family {f} --d {d} --trials 2 --seed {seed} {part}":

@@ -190,10 +190,10 @@ class TestCycleTraceKernel:
             np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
 
     def test_tile_edge_by_n(self):
-        # n <= 256 stays one tile and n >= 2048 keeps 256, so their bits
-        # do not depend on the 128 edge used in between.
+        # 128 is the faster edge from n = 129 (two tiles) to 2047; n <= 128
+        # is one tile whatever the edge, and from n = 2048 tiles of 256 win.
         edges = [moments._tile_edge(n) for n in (1, 256, 257, 1024, 2047, 2048, 4096)]
-        assert edges == [256, 256, 128, 128, 128, 256, 256]
+        assert edges == [128, 128, 128, 128, 128, 256, 256]
 
     @pytest.mark.parametrize("block", [1, 3, 7])
     def test_small_blocks_match_brute_force(self, block, monkeypatch):
