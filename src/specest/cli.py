@@ -76,10 +76,9 @@ def run_experiment(args) -> tuple[list[list], list[str]]:
         model = CovarianceModel(args.family, d)
         true_vec = true_spectrum(model)
         cfg = RecoveryConfig(b=args.b if args.b is not None else float(true_vec[-1]), k_max=args.k)
-        if not all(math.isfinite(ratio * d) for ratio in args.n_ratio):
-            raise ValueError(f"an n ratio times d={d} overflows to infinity")
-        ns = sorted({max(1, round(ratio * d)) for ratio in args.n_ratio})
-        # numpy's own array-size limit, for the n x d float64 sample matrix.
+        # numpy's own array-size limit, for the n x d float64 sample matrix;
+        # n is capped at 2^63 first, so an infinite ratio * d fails it too.
+        ns = sorted({max(1, round(min(ratio * d, 2.0**63))) for ratio in args.n_ratio})
         if max(ns) * d * 8 > np.iinfo(np.intp).max:
             raise ValueError(
                 f"an n ratio at d={d} gives n={max(ns):.3g}, past numpy's array-size limit"
@@ -101,13 +100,9 @@ def run_experiment(args) -> tuple[list[list], list[str]]:
 
 
 def _parse_ratio(text: str) -> float:
-    if "/" in text:
-        num, _, den = text.partition("/")
-        if float(den) == 0:
-            raise argparse.ArgumentTypeError(f"n ratio has a zero denominator: {text!r}")
-        value = float(num) / float(den)
-    else:
-        value = float(text)
+    num, slash, den = text.partition("/")
+    divisor = float(den) if slash else 1.0
+    value = float(num) / divisor if divisor else math.inf
     if not 0 < value < math.inf:
         raise argparse.ArgumentTypeError(f"n ratio must be positive and finite, got {text!r}")
     return value

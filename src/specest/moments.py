@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -213,7 +214,7 @@ def estimate_moments(y, k_max: int, b: float = 1.0) -> MomentEstimate:
     Raises
     ------
     NonFiniteError
-        If the gram matrix or the moments overflow, as a tiny b makes them.
+        If the gram matrix or the cycle traces overflow, as a tiny b makes them.
     """
     y = _as_matrix(y, "data matrix")
     n, d = y.shape
@@ -228,7 +229,8 @@ def estimate_moments(y, k_max: int, b: float = 1.0) -> MomentEstimate:
     a = gram(y)
     a /= b
     traces = _cycle_traces(a, k_max)
-    values = traces / (d * np.array([float(math.comb(n, k)) for k in range(1, k_max + 1)]))
-    if not np.isfinite(values).all():
+    if not np.isfinite(traces).all():
         raise NonFiniteError(f"moment estimates overflowed to non-finite values at b={b!r}")
+    # Exact quotients: C(n, k) passes the float range (at k = 500 for n = 1030).
+    values = [float(Fraction(t) / (d * math.comb(n, k))) for k, t in enumerate(traces, 1)]
     return MomentEstimate(values=values, n=n, d=d)

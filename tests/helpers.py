@@ -4,7 +4,8 @@ None of this is part of the library: the exhaustive cycle enumeration,
 the dense product traces, ``strict_upper``, the plug-in moment baseline
 and the Monte-Carlo variance loop check the estimator; ``covariance``
 builds the model matrix that the synthetic factors are checked against;
-``from_sorted_vector`` checks the W1 identities; the mesh LP's
+``from_sorted_vector`` checks the W1 identities; ``chebyshev_spectra``
+feeds the lower-bound pair to the estimator; the mesh LP's
 references (``moment_matrix``, ``lp_standard_form``, the vertex
 enumeration and the grid search) check the simplex solver and build
 their mesh powers themselves; ``save_matrix_csv`` writes fixtures for
@@ -20,8 +21,10 @@ from itertools import combinations
 
 import numpy as np
 
+from specest.chebyshev import chebyshev_construction
 from specest.linalg import _as_matrix, gram
 from specest.moments import _validate_k, estimate_moments
+from specest.recovery import quantile_vector
 from specest.synth import TOEPLITZ_RHO, CovarianceModel, factor, sample, true_spectrum
 from specest.wasserstein import PointMassDistribution
 
@@ -188,6 +191,20 @@ def from_sorted_vector(values) -> PointMassDistribution:
     if vals.ndim != 1 or vals.size < 1:
         raise ValueError("need a non-empty 1-d vector")
     return PointMassDistribution(vals, np.full(vals.size, 1.0 / vals.size))
+
+
+def chebyshev_spectra(k: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The order-k Chebyshev pair as two ascending spectra of d eigenvalues in (0, 1).
+
+    Each distribution of ``chebyshev_construction(k)`` has its atoms mapped
+    from [-1, 1] by x -> (x + 1) / 2 and is rounded to d equal masses by
+    ``quantile_vector``, so the two spectra share their first k - 2 moments
+    up to that rounding.
+    """
+    return tuple(
+        quantile_vector(PointMassDistribution((dist.support + 1) / 2, dist.masses), d)
+        for dist in chebyshev_construction(k)
+    )
 
 
 def moment_matrix(mesh, k: int) -> np.ndarray:

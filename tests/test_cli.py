@@ -268,8 +268,10 @@ class TestSimulate:
         assert "error:" not in err
         assert read_summary(out / "summary.csv") == [list(SUMMARY_COLUMNS)]
 
-    # 1e308 parses, but n = ratio * d overflows; that is caught after parsing.
-    # 1e300 and 1e17 at d=16 give a finite n past numpy's array-size limit.
+    # Two rules, each checked once. 1/0 parses as infinity, and it, inf, nan
+    # and -inf are not positive finite ratios. 1e308 parses, but ratio * d
+    # overflows and n is capped at 2^63; that n, and the finite n of 1e300
+    # and of 1e17 at d=16, make a sample past numpy's array-size limit.
     @pytest.mark.parametrize(
         "ratio, dims",
         [pytest.param(r, [], id=r) for r in ("1/0", "inf", "nan", "-inf", "1e308", "1e300")]

@@ -7,6 +7,7 @@ exact homogeneity of degree 2k in the samples.
 
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -163,6 +164,16 @@ class TestEstimateMoments:
         with pytest.raises(NonFiniteError, match="b=1e-300"):
             estimate_moments(y, 7, 1e-300)
 
+    def test_k_past_the_float_range_of_c_n_k(self, monkeypatch):
+        # C(1030, k) passes the float range from k = 500 to 530; each value
+        # is still its trace over d C(n, k), rounded once.
+        n, k_max = 1030, 520
+        monkeypatch.setattr(moments, "_cycle_traces", lambda a, k: np.ones(k))
+        values = estimate_moments(np.ones((n, 1)), k_max).values
+        assert np.isfinite(values).all()
+        exact = [float(Fraction(1, math.comb(n, k))) for k in range(1, k_max + 1)]
+        assert values.tolist() == exact
+
     @pytest.mark.parametrize("shape", [(5,), (2, 8, 3)])
     def test_rejects_non_2d_input(self, shape):
         with pytest.raises(ValueError, match="2-dimensional"):
@@ -211,12 +222,16 @@ class TestCycleTraceKernel:
     def test_many_tiles_match_dense_products(self, n, monkeypatch):
         # 8 tiles of 5 (the last one ragged at n = 37), most of them off the
         # diagonal; k_max <= 3 has no power loop, k_max <= 2 no last pass.
+        # d C(n, k) < 2^53 here, so each moment is bit for bit the float
+        # quotient of its trace.
         monkeypatch.setattr(moments, "_tile_edge", lambda n: 5)
         y = np.random.default_rng(43 + n).standard_normal((n, 12))
         a = gram(y)
         for k_max in range(1, 10):
             got = moments._cycle_traces(a.copy(), k_max)
             np.testing.assert_allclose(got, product_traces(a, k_max), rtol=1e-12, atol=0)
+            denom = 12 * np.array([float(math.comb(n, k)) for k in range(1, k_max + 1)])
+            np.testing.assert_array_equal(estimate_moments(y, k_max).values, got / denom)
 
     def test_edge_256_with_one_row_last_tile_matches_dense_products(self):
         # n = 2049: eight tiles of 256, then a last tile of one row, which
