@@ -13,11 +13,7 @@ import numpy as np
 
 from .chebyshev import chebyshev_construction, moments_of, root_weight_bounds_check
 from .linalg import NonFiniteError, empirical_spectrum, load_matrix_csv
-from .recovery import (
-    RecoveryConfig,
-    default_eigenvalue_bound,
-    estimate_spectrum,
-)
+from .recovery import RecoveryConfig, estimate_spectrum
 from .synth import ENTRY_KINDS, FAMILIES, CovarianceModel, factor, sample, true_spectrum
 from .wasserstein import l1_sorted, w1
 
@@ -187,7 +183,10 @@ def cmd_simulate(args) -> int:
 
 def cmd_estimate(args) -> int:
     y = load_matrix_csv(args.input)
-    b = args.b if args.b is not None else default_eigenvalue_bound(y)
+    b = args.b
+    if b is None:
+        # A guess, not a bound: nothing ensures it bounds the population spectrum.
+        b = 2.0 * float(empirical_spectrum(y)[-1]) or 1.0
     spectrum = estimate_spectrum(y, RecoveryConfig(b=b, k_max=args.k))
     # After the estimate, so an input error prints one error: line alone.
     if args.b is None:

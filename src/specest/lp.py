@@ -53,8 +53,10 @@ class SimplexSolution:
 
     ``status`` is "optimal" when no reduced cost is below
     -1e-9 * (1 + max|y|), a tolerance stop that acts as a regulariser (see
-    the module docstring), and "iteration-limit" when the simplex was cut
-    off; the masses are feasible either way.
+    the module docstring), or when the entering column has no direction
+    entry above the pivot floor and a reduced cost above -1e-6 (rounding
+    noise). It is "iteration-limit" when the simplex was cut off; the
+    masses are feasible either way.
     """
 
     masses: np.ndarray

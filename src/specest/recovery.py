@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lp
-from .linalg import empirical_spectrum
 from .moments import MomentEstimate, estimate_moments
 from .wasserstein import PointMassDistribution
 
@@ -27,7 +26,6 @@ __all__ = [
     "recover_distribution",
     "quantile_vector",
     "estimate_spectrum",
-    "default_eigenvalue_bound",
 ]
 
 # The largest number of points the recovery mesh may have; larger problems
@@ -135,15 +133,3 @@ def estimate_spectrum(y, cfg: RecoveryConfig) -> np.ndarray:
     dist = recover_distribution(est)
     return quantile_vector(dist, est.d) * cfg.b
 
-
-def default_eigenvalue_bound(y) -> float:
-    """Heuristic eigenvalue bound: twice the top empirical eigenvalue.
-
-    A convenience for data without a known bound. It is a guess, not a
-    guarantee: nothing ensures it actually bounds the population
-    spectrum, so results built on it inherit that caveat.
-    """
-    top = float(empirical_spectrum(y)[-1])
-    if top <= 0:
-        return 1.0  # all-zero data; any positive scale works
-    return 2.0 * top

@@ -15,12 +15,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from specest import cli
 from specest.cli import (
     SUMMARY_COLUMNS,
     build_parser,
     main,
     write_cdf_csv,
 )
+from specest.linalg import empirical_spectrum
 from specest.recovery import RecoveryConfig, estimate_spectrum
 from specest.synth import CovarianceModel, factor, sample
 
@@ -357,14 +359,37 @@ class TestEstimate:
         assert code == 0
         assert "heuristic" in capsys.readouterr().err
 
-    def test_heuristic_bound_on_zero_data_names_the_fallback(self, tmp_path, capsys):
-        # The top empirical eigenvalue is 0, so b is the fallback 1.0, not twice it.
-        path = tmp_path / "y.csv"
-        path.write_text("0,0\n0,0\n")
-        assert main(["estimate", str(path), "--k", "2"]) == 0
-        assert "b=1.0 (2x top empirical eigenvalue; 1.0 if that is 0)" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        ("rows", "note"),
+        [
+            # Empirical covariance diag(2, 0.5): b is twice its top eigenvalue.
+            ("2,0\n0,1\n", "b=4.0 (2x top empirical eigenvalue"),
+            # The top empirical eigenvalue is 0, so b is the fallback 1.0, not twice it.
+            ("0,0\n0,0\n", "b=1.0 (2x top empirical eigenvalue; 1.0 if that is 0)"),
+        ],
+        ids=["twice_top", "zero_data_fallback"],
+    )
+    def test_heuristic_bound_in_the_note(self, tmp_path, capsys, monkeypatch, rows, note):
+        # The guess takes one empirical spectrum.
+        calls = []
 
-    def test_explicit_bound_not_flagged(self, tmp_path, capsys):
+        def counted(y):
+            calls.append(y)
+            return empirical_spectrum(y)
+
+        monkeypatch.setattr(cli, "empirical_spectrum", counted)
+        path = tmp_path / "y.csv"
+        path.write_text(rows)
+        assert main(["estimate", str(path), "--k", "2"]) == 0
+        assert note in capsys.readouterr().err
+        assert len(calls) == 1
+
+    def test_explicit_bound_not_flagged(self, tmp_path, capsys, monkeypatch):
+        # An explicit --b computes no guess, so no empirical spectrum.
+        def refuse(y):
+            raise AssertionError("an explicit --b needs no empirical spectrum")
+
+        monkeypatch.setattr(cli, "empirical_spectrum", refuse)
         rng = np.random.default_rng(62)
         path = tmp_path / "y.csv"
         save_matrix_csv(path, rng.standard_normal((10, 4)))

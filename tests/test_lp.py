@@ -255,3 +255,36 @@ class TestIterationControl:
             assert_feasible(sol)
         # Cut at the optimal basis, the masses are those of the full solve.
         np.testing.assert_array_equal(sol.masses, full.masses)
+
+
+class TestNumericalFallbacks:
+    """The two rounding guards, which well-posed solves never reach."""
+
+    def test_singular_basis_is_an_arithmetic_error(self, monkeypatch):
+        def singular(*args):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        with pytest.raises(ArithmeticError, match="simplex basis became singular"):
+            solve([0.0, 1.0], [0.3], [1.0])
+
+    def test_no_pivot_with_a_clearly_improving_column_is_an_error(self, monkeypatch):
+        # With no direction entry above the pivot floor, the reduced cost
+        # -1/2 of the column x = 1 is far below the -1e-6 rounding allowance.
+        monkeypatch.setattr(lp, "_PIV_TOL", np.inf)
+        with pytest.raises(ArithmeticError, match="simplex lost feasibility"):
+            solve([0.0, 1.0], [0.5], [1.0])
+
+    def test_no_pivot_with_a_weakly_improving_column_stops_optimal(self, monkeypatch):
+        # The column x = 1e-7 has reduced cost -1e-7: it improves by the
+        # optimality tolerance, but lies within the rounding allowance.
+        problem = ([0.0, 1e-7], [5e-8], [1.0])
+        pivoted = solve(*problem)
+        assert (pivoted.status, pivoted.iterations) == ("optimal", 1)
+        np.testing.assert_allclose(pivoted.masses, [0.5, 0.5])
+        assert_feasible(pivoted)
+        monkeypatch.setattr(lp, "_PIV_TOL", np.inf)
+        stopped = solve(*problem)
+        assert (stopped.status, stopped.iterations) == ("optimal", 0)
+        np.testing.assert_array_equal(stopped.masses, [1.0, 0.0])
+        assert_feasible(stopped)

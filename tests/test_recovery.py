@@ -18,7 +18,6 @@ from specest.recovery import (
     WEIGHT_FLOOR,
     RecoveryConfig,
     build_mesh,
-    default_eigenvalue_bound,
     default_weights,
     estimate_spectrum,
     quantile_vector,
@@ -321,14 +320,13 @@ class TestEstimateSpectrum:
     def test_diagonal_sample_matrix_kills_higher_moments(self):
         # Y = sqrt(8) I_8 makes the gram matrix diagonal, so every cycle
         # estimate above k = 1 is exactly zero. The pipeline sees moment
-        # sequence (0.5, 0, 0, ...) at the heuristic b = 2 and, under the
-        # variance-scaled weights, returns an all-zero spectrum. That does
-        # not resemble the empirical spectrum (all ones); with one
-        # effective sample per direction that information is simply not in
-        # the cycle statistics.
+        # sequence (0.5, 0, 0, ...) at b = 2, the bound `specest estimate`
+        # guesses for it, and, under the variance-scaled weights, returns an
+        # all-zero spectrum. That does not resemble the empirical spectrum
+        # (all ones); with one effective sample per direction that
+        # information is simply not in the cycle statistics.
         y = np.sqrt(8.0) * np.eye(8)
-        b = default_eigenvalue_bound(y)
-        assert b == pytest.approx(2.0)
+        b = 2.0
         est = estimate_moments(y, 7, b)
         np.testing.assert_allclose(est.values, [0.5, 0, 0, 0, 0, 0, 0], atol=1e-15)
         out = estimate_spectrum(y, RecoveryConfig(b=b))
@@ -341,16 +339,6 @@ class TestEstimateSpectrum:
     def test_rejects_3d_input(self):
         with pytest.raises(ValueError, match="2-dimensional"):
             estimate_spectrum(np.ones((2, 8, 3)), RecoveryConfig(b=1.0))
-
-
-class TestDefaultEigenvalueBound:
-    def test_twice_top_empirical(self):
-        y = np.array([[2.0, 0.0], [0.0, 1.0]])
-        # empirical covariance diag(2, 0.5); top eigenvalue 2
-        assert default_eigenvalue_bound(y) == pytest.approx(4.0)
-
-    def test_zero_data_fallback(self):
-        assert default_eigenvalue_bound(np.zeros((3, 4))) == 1.0
 
 
 class TestDefaultKMax:
