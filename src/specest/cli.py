@@ -40,9 +40,9 @@ def _run_trial(
 ) -> list:
     """One simulated trial: writes its three CDF files, returns its summary row."""
     start = time.perf_counter()
-    # Trial t draws with seed XOR t; the remaining cell coordinates are
-    # mixed in as extra entropy words.
-    y = sample(s, n, args.entry_dist, (args.seed ^ trial, FAMILIES.index(args.family), d, n))
+    # The seed, the trial index and the cell coordinates are separate
+    # entropy words, so no trial of one seed repeats a draw of another.
+    y = sample(s, n, args.entry_dist, (args.seed, trial, FAMILIES.index(args.family), d, n))
     recovered = estimate_spectrum(y, cfg)
     empirical = empirical_spectrum(y)
     w1_rec = l1_sorted(recovered, true_vec) / d

@@ -214,7 +214,9 @@ def estimate_moments(y, k_max: int, b: float = 1.0) -> MomentEstimate:
     Raises
     ------
     NonFiniteError
-        If the gram matrix or the cycle traces overflow, as a tiny b makes them.
+        If ``y`` has a non-finite entry ("data matrix contains non-finite
+        entries", from ``gram``), or if the gram matrix or the cycle traces
+        overflow, as a tiny b makes them.
     """
     y = _as_matrix(y, "data matrix")
     n, d = y.shape

@@ -21,7 +21,6 @@ from .wasserstein import PointMassDistribution
 __all__ = [
     "MESH_CAP",
     "RecoveryConfig",
-    "build_mesh",
     "default_weights",
     "recover_distribution",
     "quantile_vector",
@@ -59,32 +58,15 @@ class RecoveryConfig:
             raise ValueError(f"eigenvalue bound must be positive and finite, got b={self.b}")
 
 
-def build_mesh(problem_size: int) -> np.ndarray:
-    """Uniform mesh {0, step, ..., 1} on the b-rescaled domain.
-
-    The step is 1/problem_size. When that would exceed MESH_CAP points
-    the mesh is coarsened to exactly MESH_CAP points, which happens
-    exactly when problem_size >= MESH_CAP. Both endpoints 0 and 1 are
-    always present.
-    """
-    if problem_size < 1:
-        raise ValueError(f"problem size must be >= 1, got {problem_size}")
-    return np.linspace(0.0, 1.0, min(problem_size, MESH_CAP - 1) + 1)
-
-
-def default_weights(n: int, d: int, values) -> np.ndarray:
-    """Variance-scaled weights 1 / (c_i * max(alpha_i, floor)).
+def default_weights(estimate: MomentEstimate) -> np.ndarray:
+    """Variance-scaled weights 1 / (c_i * max(alpha_i, floor)), one per moment.
 
     c_i = (2i)^(2i) * max(d^(i/2 - 1), 1) / n^(i/2) approximates the
-    multiplicative noise scale of the i-th moment estimate, so noisier
-    moments count for less in the LP objective. Computed in log space;
-    only the floored moment values enter, never the raw targets.
-    ``values`` holds the moment estimates alpha_1, alpha_2, ...; one
-    weight is returned per value.
+    multiplicative noise scale of the i-th moment estimate alpha_i, so
+    noisier moments count for less in the LP objective. Computed in log
+    space; only the floored moment values enter, never the raw targets.
     """
-    if n < 1 or d < 1:
-        raise ValueError(f"n and d must be positive, got n={n} d={d}")
-    values = np.asarray(values, dtype=float)
+    n, d, values = estimate.n, estimate.d, estimate.values
     i = np.arange(1, values.size + 1, dtype=float)
     log_c = 2 * i * np.log(2 * i) + np.maximum((i / 2 - 1) * math.log(d), 0.0) - (i / 2) * math.log(n)
     floored = np.maximum(values, WEIGHT_FLOOR)
@@ -96,16 +78,16 @@ def default_weights(n: int, d: int, values) -> np.ndarray:
 def recover_distribution(estimate: MomentEstimate) -> PointMassDistribution:
     """Fit a mesh distribution on [0, 1] to every moment in the estimate.
 
-    The moments are weighted by default_weights. The mesh step is
-    1/max(d, n), coarsened to MESH_CAP points when that step would need
-    more; the result's ``mesh_coarsened`` says so. The masses are the LP's,
-    zeros included, on the whole mesh.
+    The moments are weighted by default_weights. The mesh is uniform with
+    step 1/max(n, d), coarsened to MESH_CAP points exactly when
+    max(n, d) >= MESH_CAP; the result's ``mesh_coarsened`` says so. Both
+    endpoints 0 and 1 are always present. The masses are the LP's, zeros
+    included, on the whole mesh.
     """
-    problem_size = max(estimate.n, estimate.d)
-    mesh = build_mesh(problem_size)
-    weights = default_weights(estimate.n, estimate.d, estimate.values)
-    sol = lp.solve(mesh, estimate.values, weights)
-    return PointMassDistribution(mesh, sol.masses, mesh_coarsened=mesh.size <= problem_size)
+    intervals = max(estimate.n, estimate.d)
+    mesh = np.linspace(0.0, 1.0, min(intervals, MESH_CAP - 1) + 1)
+    sol = lp.solve(mesh, estimate.values, default_weights(estimate))
+    return PointMassDistribution(mesh, sol.masses, mesh_coarsened=intervals >= MESH_CAP)
 
 
 def quantile_vector(dist: PointMassDistribution, d: int) -> np.ndarray:

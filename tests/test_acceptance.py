@@ -15,7 +15,7 @@ from specest.chebyshev import chebyshev_construction, moments_of
 from specest.linalg import empirical_spectrum
 from specest.lp import solve
 from specest.moments import estimate_moments
-from specest.recovery import RecoveryConfig, build_mesh, quantile_vector
+from specest.recovery import RecoveryConfig, quantile_vector
 from specest.synth import CovarianceModel, factor, sample, true_spectrum
 from specest.wasserstein import (
     PointMassDistribution,
@@ -217,7 +217,7 @@ def test_criterion_8_lp_feed_through_and_optimality():
     # weights keep all seven residuals active; the variance-scaled
     # default_weights are exercised by the experiment criteria above.
     rng = np.random.default_rng(801)
-    mesh_points = build_mesh(problem_size=64)
+    mesh_points = np.linspace(0.0, 1.0, 65)  # the recovery mesh at max(n, d) = 64
     worst_w1 = 0.0
     for _ in range(40):
         t = int(rng.integers(1, 4))

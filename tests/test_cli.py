@@ -117,6 +117,18 @@ class TestSimulate:
             twin = out_b / f.name
             assert f.read_bytes() == twin.read_bytes()
 
+    def test_seeds_share_no_draw(self, tmp_path):
+        # With the trial index XORed into the seed, seed 0 trial 1 and
+        # seed 1 trial 0 drew the same matrix.
+        args = ["simulate", "--family", "identity", "--d", "16", "--n-ratio", "1", "--trials", "2"]
+        runs = []
+        for seed in ("0", "1"):
+            out = tmp_path / seed
+            assert main(args + ["--seed", seed, "--out", str(out)]) == 0
+            runs.append({f.read_bytes() for f in out.glob("cdf_*_empirical.csv")})
+        assert len(runs[0]) == len(runs[1]) == 2
+        assert not runs[0] & runs[1]
+
     def test_summary_bytes_match_csv_writer(self, tmp_path):
         # The fields are re-read and rendered again by csv.writer, so any
         # change of quoting or line ending in the raw file shows here.

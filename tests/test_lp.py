@@ -14,7 +14,7 @@ from scipy.optimize import linprog
 from specest import lp
 from specest.lp import SimplexSolution, _moment_powers, solve
 from specest.moments import estimate_moments
-from specest.recovery import RecoveryConfig, build_mesh, default_weights
+from specest.recovery import RecoveryConfig, default_weights, recover_distribution
 from specest.synth import CovarianceModel, factor, sample
 from specest.wasserstein import PointMassDistribution, w1
 
@@ -205,8 +205,7 @@ def two_spike_fit():
     y = sample(factor(CovarianceModel("two_spike", d)), n, "gaussian", seed=3)
     cfg = RecoveryConfig(b=2.0)
     est = estimate_moments(y, cfg.k_max, cfg.b)
-    mesh = build_mesh(problem_size=max(n, d))
-    return mesh, est.values, default_weights(n, d, est.values)
+    return recover_distribution(est).support, est.values, default_weights(est)
 
 
 def assert_feasible(sol):

@@ -158,6 +158,13 @@ class TestEstimateMoments:
         with pytest.raises(ValueError, match="finite"):
             estimate_moments(np.ones((4, 2)), 2, b)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_non_finite_entry(self, value):
+        y = np.random.default_rng(64).standard_normal((16, 8))
+        y[5, 3] = value
+        with pytest.raises(NonFiniteError, match="data matrix contains non-finite entries"):
+            estimate_moments(y, 5)
+
     def test_overflow_at_tiny_scale_names_b(self):
         # the gram is finite, but divided by b = 1e-300 its cycle traces overflow
         y = np.random.default_rng(63).standard_normal((16, 8))

@@ -17,7 +17,6 @@ from specest.recovery import (
     MESH_CAP,
     WEIGHT_FLOOR,
     RecoveryConfig,
-    build_mesh,
     default_weights,
     estimate_spectrum,
     quantile_vector,
@@ -29,8 +28,8 @@ from specest.wasserstein import PointMassDistribution, l1_sorted, w1
 
 def lp_solution(est):
     """The LP solve recover_distribution makes for ``est``."""
-    mesh = build_mesh(max(est.n, est.d))
-    return solve(mesh, est.values, default_weights(est.n, est.d, est.values))
+    mesh = recover_distribution(est).support
+    return solve(mesh, est.values, default_weights(est))
 
 
 def scan_quantile(support, masses, level):
@@ -59,67 +58,31 @@ class TestRecoveryConfig:
             RecoveryConfig(b=b)
 
 
-class TestBuildMesh:
-    def test_half_step(self):
-        np.testing.assert_allclose(build_mesh(problem_size=2), [0.0, 0.5, 1.0])
-
-    def test_default_step_is_inverse_problem_size(self):
-        mesh = build_mesh(problem_size=100)
-        assert np.diff(mesh) == pytest.approx(0.01)
-        assert mesh.size == 101
-
-    def test_cap_binds_at_large_dimension(self):
-        mesh = build_mesh(problem_size=4096)
-        assert mesh.size == 4001
-        assert np.diff(mesh) == pytest.approx(1.0 / 4000)
-
-    def test_endpoints_always_present(self):
-        for size in (1, 3, 14, 4096):
-            mesh = build_mesh(problem_size=size)
-            assert mesh[0] == 0.0
-            assert mesh[-1] == 1.0
-
-    def test_never_coarser_than_requested(self):
-        for size in (1, 2, 3, 14, 49, 4000):
-            mesh = build_mesh(problem_size=size)
-            assert mesh.size == size + 1
-            assert (np.diff(mesh) <= 1.0 / size + 1e-12).all()
-
-    def test_rejects_problem_size_zero(self):
-        with pytest.raises(ValueError, match="problem size"):
-            build_mesh(problem_size=0)
-
-
 class TestDefaultWeights:
     def test_first_weight_closed_form(self):
         # c_1 = 4/sqrt(n), so at alpha_1 = 1 the weight is sqrt(n)/4
-        w = default_weights(256, 256, np.ones(1))
+        w = default_weights(MomentEstimate(values=np.ones(1), n=256, d=256))
         assert w[0] == pytest.approx(4.0, rel=1e-12)
 
     def test_strictly_decreasing_at_unit_moments(self):
-        w = default_weights(256, 256, np.ones(7))
+        w = default_weights(MomentEstimate(values=np.ones(7), n=256, d=256))
         assert (np.diff(w) < 0).all()
 
     def test_known_values_n_d_256(self):
-        w = default_weights(256, 256, np.ones(3))
+        w = default_weights(MomentEstimate(values=np.ones(3), n=256, d=256))
         np.testing.assert_allclose(w, [4.0, 1.0, 1.0 / 182.25], rtol=1e-12)
 
     def test_negative_moment_hits_floor(self):
-        w_neg = default_weights(100, 100, np.array([1.0, -0.3]))
-        w_floor = default_weights(100, 100, np.array([1.0, WEIGHT_FLOOR]))
+        w_neg = default_weights(MomentEstimate(values=np.array([1.0, -0.3]), n=100, d=100))
+        w_floor = default_weights(MomentEstimate(values=np.array([1.0, WEIGHT_FLOOR]), n=100, d=100))
         assert np.isfinite(w_neg).all()
         assert (w_neg > 0).all()
         assert w_neg[1] == w_floor[1]
 
     def test_huge_k_stays_finite(self):
-        w = default_weights(50, 50, np.ones(40))
+        w = default_weights(MomentEstimate(values=np.ones(40), n=50, d=50))
         assert np.isfinite(w).all()
         assert (w > 0).all()
-
-    @pytest.mark.parametrize("n, d", [(0, 5), (5, 0)])
-    def test_rejects_non_positive_n_or_d(self, n, d):
-        with pytest.raises(ValueError, match="n and d must be positive"):
-            default_weights(n, d, np.ones(2))
 
 
 class TestRecoverDistribution:
@@ -152,7 +115,7 @@ class TestRecoverDistribution:
         # weight about 1e-7 on the high moments and can leave them
         # unresolved)
         rng = np.random.default_rng(50)
-        mesh_points = build_mesh(problem_size=64)
+        mesh_points = np.linspace(0.0, 1.0, 65)  # the recovery mesh at max(n, d) = 64
         for _ in range(25):
             t = int(rng.integers(1, 4))
             idx = rng.choice(mesh_points.size, size=t, replace=False)
@@ -166,11 +129,14 @@ class TestRecoverDistribution:
             dist = PointMassDistribution(mesh_points, sol.masses)
             assert w1(dist, truth) <= 3.0 / 64
 
-    # The mesh has max(n, d) + 1 points up to MESH_CAP; from max(n, d) =
-    # MESH_CAP on it is coarsened to MESH_CAP points and flagged.
+    # The mesh has max(n, d) + 1 points, both endpoints included, up to
+    # MESH_CAP; from max(n, d) = MESH_CAP on it is coarsened to MESH_CAP
+    # points and flagged. One moment value, so that n = d = 1 is allowed.
     @pytest.mark.parametrize(
         "n, d, coarsened",
-        [
+        [(size, size, False) for size in (1, 2, 3, 14, 49, 100, 4000)]
+        + [
+            (4096, 4096, True),
             (64, MESH_CAP - 1, False),
             (MESH_CAP - 1, 64, False),
             (64, MESH_CAP, True),
@@ -179,10 +145,13 @@ class TestRecoverDistribution:
         ],
     )
     def test_flags_a_coarsened_mesh(self, n, d, coarsened):
-        est = MomentEstimate(values=0.5 ** np.arange(1, 8), n=n, d=d)
-        dist = recover_distribution(est)
+        dist = recover_distribution(MomentEstimate(values=[0.5], n=n, d=d))
         assert dist.mesh_coarsened is coarsened
-        assert dist.support.size == (MESH_CAP if coarsened else max(n, d) + 1)
+        points = MESH_CAP if coarsened else max(n, d) + 1
+        assert dist.support.size == points
+        assert dist.support[0] == 0.0
+        assert dist.support[-1] == 1.0
+        np.testing.assert_allclose(np.diff(dist.support), 1.0 / (points - 1), rtol=1e-9)
 
     def test_zero_masses_leave_w1_unchanged(self):
         # the two_spike fit leaves most of its 1025 mesh points at zero mass
