@@ -38,8 +38,10 @@ __all__ = ["SimplexSolution", "solve"]
 # Entering-variable tolerance scale and ratio-test pivot floor.
 _OPT_TOL = 1e-9
 _PIV_TOL = 1e-10
-# Iterations per LP column priced by Dantzig's rule before Bland's takes over.
+# Pivots per LP column priced by Dantzig's rule before Bland's takes over,
+# and the cap 2 * _BLAND_AFTER * (t + 2k) + _CAP_EXTRA on all pivots.
 _BLAND_AFTER = 10
+_CAP_EXTRA = 5000
 
 
 def _moment_powers(points: np.ndarray, k: int) -> np.ndarray:
@@ -51,12 +53,12 @@ def _moment_powers(points: np.ndarray, k: int) -> np.ndarray:
 class SimplexSolution:
     """Result of one LP solve.
 
-    ``status`` is "optimal" when no reduced cost is below
-    -1e-9 * (1 + max|y|), a tolerance stop that acts as a regulariser (see
-    the module docstring), or when the entering column has no direction
-    entry above the pivot floor and a reduced cost above -1e-6 (rounding
-    noise). It is "iteration-limit" when the simplex was cut off; the
-    masses are feasible either way.
+    ``status`` is "optimal" when no reduced cost is below -1e-9 * (1 + max|y|),
+    a tolerance stop that acts as a regulariser (see the module docstring), or
+    when the entering column has no direction entry above the pivot floor and
+    a reduced cost above -1e-6 (rounding noise). It is "iteration-limit" when
+    the simplex hit its private cap of 20 * (t + 2k) + 5000 pivots; the masses
+    are feasible either way.
     """
 
     masses: np.ndarray
@@ -65,7 +67,7 @@ class SimplexSolution:
     iterations: int
 
 
-def solve(mesh, target, weights, *, max_iterations: int | None = None) -> SimplexSolution:
+def solve(mesh, target, weights) -> SimplexSolution:
     """Minimize the weighted L1 moment mismatch over the mass simplex.
 
     The arrays are the x, a and w of the module docstring; x must be >= 0.
@@ -92,8 +94,6 @@ def solve(mesh, target, weights, *, max_iterations: int | None = None) -> Simple
     k, t = target.size, mesh.size
     n_cols = t + 2 * k
     m = k + 1
-    if max_iterations is None:
-        max_iterations = 20 * n_cols + 5000
 
     # Standard form columns: [p (t) | u (k) | v (k)], rows: k moment
     # constraints then the unit-mass constraint.
@@ -110,9 +110,9 @@ def solve(mesh, target, weights, *, max_iterations: int | None = None) -> Simple
     w_scale = float(weights.max())
     cost = np.concatenate([np.zeros(t), weights, weights]) / w_scale
 
-    # Crash basis: all mass on the first mesh point, residuals absorbed
-    # by whichever of u_i / v_i is nonnegative. The basis matrix is a
-    # signed permutation, so it is trivially nonsingular.
+    # Crash basis: all mass on the first mesh point, residuals absorbed by
+    # whichever of u_i / v_i is nonnegative. The basis matrix is triangular,
+    # +-1 on the diagonal and x_1^i above the unit mass, so its determinant is +-1.
     residual0 = v[:, 0] - goal
     basis = np.empty(m, dtype=int)
     basis[:k] = np.where(residual0 >= 0, t + np.arange(k), t + k + np.arange(k))
@@ -127,7 +127,7 @@ def solve(mesh, target, weights, *, max_iterations: int | None = None) -> Simple
             xb = np.linalg.solve(b_mat, rhs)
             # Stop only after solving, so the masses below always come
             # from the final basis, also when the limit cuts the solve.
-            if iterations >= max_iterations:
+            if iterations >= 2 * _BLAND_AFTER * n_cols + _CAP_EXTRA:
                 break
             y = np.linalg.solve(b_mat.T, cost[basis])
         except np.linalg.LinAlgError as exc:

@@ -7,6 +7,8 @@ three references build their mesh powers by repeated products in
 ``helpers`` and share no code with the implementation under test.
 """
 
+import inspect
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
@@ -213,10 +215,22 @@ def assert_feasible(sol):
     assert sol.masses.sum() == pytest.approx(1.0, abs=1e-9)
 
 
+def solve_capped(monkeypatch, cap, mesh, target, weights):
+    """``solve`` with its pivot cap moved to ``cap`` through ``lp._CAP_EXTRA``."""
+    n_cols = len(mesh) + 2 * len(target)
+    monkeypatch.setattr(lp, "_CAP_EXTRA", cap - 2 * lp._BLAND_AFTER * n_cols)
+    return solve(mesh, target, weights)
+
+
 class TestIterationControl:
-    def test_iteration_limit_reported(self):
+    def test_signature_is_the_fit_alone(self):
+        # No caller tunes the cap: it stays 20 * (t + 2k) + 5000 pivots.
+        assert list(inspect.signature(solve).parameters) == ["mesh", "target", "weights"]
+        assert (lp._BLAND_AFTER, lp._CAP_EXTRA) == (10, 5000)
+
+    def test_iteration_limit_reported(self, monkeypatch):
         rng = np.random.default_rng(47)
-        sol = solve(*random_problem(rng, t_max=6, k_max=3), max_iterations=1)
+        sol = solve_capped(monkeypatch, 1, *random_problem(rng, t_max=6, k_max=3))
         assert isinstance(sol, SimplexSolution)
         assert sol.status == "iteration-limit"
 
@@ -238,18 +252,18 @@ class TestIterationControl:
         sol = solve([0.0, 1.0], [0.3], [1.0])
         assert sol.iterations >= 1
 
-    def test_masses_feasible_at_any_limit(self):
+    def test_masses_feasible_at_any_limit(self, monkeypatch):
         seeds = np.random.default_rng(49).integers(0, 2**32, size=8)
         for seed in seeds:
             prob = random_problem(np.random.default_rng(seed), t_max=12, k_max=5)
-            for max_iterations in range(31):
-                assert_feasible(solve(*prob, max_iterations=max_iterations))
+            for cap in range(31):
+                assert_feasible(solve_capped(monkeypatch, cap, *prob))
 
-    def test_every_cutoff_of_a_recovery_fit(self, two_spike_fit):
+    def test_every_cutoff_of_a_recovery_fit(self, two_spike_fit, monkeypatch):
         full = solve(*two_spike_fit)
         assert full.status == "optimal"
         for cutoff in range(full.iterations + 1):
-            sol = solve(*two_spike_fit, max_iterations=cutoff)
+            sol = solve_capped(monkeypatch, cutoff, *two_spike_fit)
             assert (sol.status, sol.iterations) == ("iteration-limit", cutoff)
             assert_feasible(sol)
         # Cut at the optimal basis, the masses are those of the full solve.
