@@ -12,46 +12,67 @@ import time
 import numpy as np
 
 from .chebyshev import chebyshev_construction, moments_of, root_weight_bounds_check
-from .linalg import NonFiniteError, empirical_spectrum, load_matrix_csv
-from .recovery import RecoveryConfig, estimate_spectrum
+from .linalg import NonFiniteError, _gram_spectrum, empirical_spectrum, gram, load_matrix_csv
+from .moments import _gram_moments, _validate_k
+from .recovery import RecoveryConfig, estimate_spectrum, quantile_vector, recover_distribution
 from .synth import ENTRY_KINDS, FAMILIES, CovarianceModel, factor, sample, true_spectrum
 from .wasserstein import l1_sorted, w1
 
 SUMMARY_COLUMNS = ("family", "d", "n", "trial", "w1_recovered", "w1_empirical", "runtime_ms")
 
 
-def write_cdf_csv(path: str, sorted_values: np.ndarray) -> None:
-    """Write the breakpoints (x, F(x)) of the equal-mass CDF of a sorted vector."""
+def _cdf_text(sorted_values: np.ndarray) -> str:
+    """The breakpoints (x, F(x)) of the equal-mass CDF of a sorted vector, as CSV text."""
     vals = np.asarray(sorted_values, dtype=float)
     xs, counts = np.unique(vals, return_counts=True)
     cdf = np.cumsum(counts) / vals.size
-    rows = "".join(f"{x!r},{f!r}\r\n" for x, f in zip(xs.tolist(), cdf.tolist()))
-    _emit("x,cdf\r\n" + rows, path)
+    return "x,cdf\r\n" + "".join(f"{x!r},{f!r}\r\n" for x, f in zip(xs.tolist(), cdf.tolist()))
+
+
+def write_cdf_csv(path: str, sorted_values: np.ndarray) -> None:
+    """Write the breakpoints (x, F(x)) of the equal-mass CDF of a sorted vector."""
+    _emit(_cdf_text(sorted_values), path)
 
 
 def _run_trial(
     args,
     s: np.ndarray,
     true_vec: np.ndarray,
+    true_cdf: str,
     cfg: RecoveryConfig,
     d: int,
     n: int,
     trial: int,
 ) -> list:
-    """One simulated trial: writes its three CDF files, returns its summary row."""
+    """One simulated trial: writes its three CDF files, returns its summary row.
+
+    ``true_cdf`` is ``true_vec``'s CDF text, rendered once per dimension.
+    """
     start = time.perf_counter()
     # The seed, the trial index and the cell coordinates are separate
     # entropy words, so no trial of one seed repeats a draw of another.
     y = sample(s, n, args.entry_dist, (args.seed, trial, FAMILIES.index(args.family), d, n))
-    recovered = estimate_spectrum(y, cfg)
-    empirical = empirical_spectrum(y)
+    if n <= d:
+        # The n x n gram the estimate reads is also the baseline's: its
+        # eigenvalues are taken before the moment kernel overwrites it.
+        # The same arithmetic, and the same k check before any gram, as
+        # empirical_spectrum and estimate_spectrum.
+        _validate_k(n, cfg.k_max)
+        a = gram(y)
+        empirical = _gram_spectrum(a, n, d)
+        est = _gram_moments(a, d, cfg.k_max, cfg.b)
+        recovered = quantile_vector(recover_distribution(est), d) * cfg.b
+    else:
+        recovered = estimate_spectrum(y, cfg)
+        empirical = empirical_spectrum(y)
     w1_rec = l1_sorted(recovered, true_vec) / d
     w1_emp = l1_sorted(empirical, true_vec) / d
     runtime_ms = (time.perf_counter() - start) * 1000.0
 
     stem = os.path.join(args.out, f"cdf_{args.family}_d{d}_n{n}_trial{trial}")
-    for label, vec in (("true", true_vec), ("empirical", empirical), ("recovered", recovered)):
-        write_cdf_csv(f"{stem}_{label}.csv", vec)
+    _emit(true_cdf, f"{stem}_true.csv")
+    write_cdf_csv(f"{stem}_empirical.csv", empirical)
+    write_cdf_csv(f"{stem}_recovered.csv", recovered)
     return [args.family, d, n, trial, repr(w1_rec), repr(w1_emp), repr(round(runtime_ms, 3))]
 
 
@@ -79,15 +100,15 @@ def run_experiment(args) -> tuple[list[list], list[str]]:
             raise ValueError(
                 f"an n ratio at d={d} gives n={max(ns):.3g}, past numpy's array-size limit"
             )
-        dims.append((factor(model), true_vec, cfg, d, ns))
+        dims.append((factor(model), true_vec, _cdf_text(true_vec), cfg, d, ns))
     os.makedirs(args.out, exist_ok=True)
     rows: list[list] = []
     failures: list[str] = []
-    for s, true_vec, cfg, d, ns in dims:
+    for s, true_vec, true_cdf, cfg, d, ns in dims:
         for n in ns:
             for t in range(args.trials):
                 try:
-                    rows.append(_run_trial(args, s, true_vec, cfg, d, n, t))
+                    rows.append(_run_trial(args, s, true_vec, true_cdf, cfg, d, n, t))
                 except Exception as exc:  # noqa: BLE001 - cell failures are enumerated, not fatal
                     failures.append(
                         f"{args.family} d={d} n={n} trial={t}: {type(exc).__name__}: {exc}"

@@ -29,6 +29,9 @@ def _as_matrix(a, name: str = "matrix") -> np.ndarray:
         raise ValueError(f"{name} must be 2-dimensional, got shape {arr.shape}")
     if arr.shape[0] < 1 or arr.shape[1] < 1:
         raise ValueError(f"{name} must be non-empty, got shape {arr.shape}")
+    # Each product with a strided matrix would reach BLAS through copies.
+    if not (arr.flags.c_contiguous or arr.flags.f_contiguous):
+        arr = np.ascontiguousarray(arr)
     return arr
 
 
@@ -38,21 +41,27 @@ def _as_matrix(a, name: str = "matrix") -> np.ndarray:
 def gram(y) -> np.ndarray:
     """Gram matrix of the rows of ``y``: out[i, j] = <row i, row j>."""
     arr = _as_matrix(y, "data matrix")
-    if not (arr.flags.c_contiguous or arr.flags.f_contiguous):
-        arr = np.ascontiguousarray(arr)
     # On one contiguous buffer, numpy computes x @ x.T as a symmetric
     # rank-k update and mirrors the triangle, so both triangles carry the
-    # same rounding. A strided x would reach BLAS as two separate copies.
+    # same rounding.
     a = arr @ arr.T
-    # A NaN or infinity in row i makes the diagonal entry sum_j y_ij^2
-    # non-finite, so the input needs a pass only when the output fails.
-    # min and max propagate NaN and find either infinity without the n x n
-    # boolean temporary of isfinite(a).
+    _require_finite(a, arr)
+    return a
+
+
+def _require_finite(a: np.ndarray, y: np.ndarray) -> None:
+    """Raise NonFiniteError unless ``a``, rows of the gram of ``y``'s rows, is finite.
+
+    A NaN or infinity in row i of ``y`` makes the diagonal entry
+    sum_j y_ij^2 non-finite, and a block of gram rows holds its rows'
+    diagonal entries, so the input needs a pass only when the output
+    fails. min and max propagate NaN and find either infinity without
+    the boolean temporary of isfinite(a).
+    """
     if not (np.isfinite(a.min()) and np.isfinite(a.max())):
-        if not np.isfinite(arr).all():
+        if not np.isfinite(y).all():
             raise NonFiniteError("data matrix contains non-finite entries")
         raise NonFiniteError("gram matrix overflowed to non-finite values")
-    return a
 
 
 def empirical_spectrum(y) -> np.ndarray:
@@ -64,12 +73,20 @@ def empirical_spectrum(y) -> np.ndarray:
     """
     arr = _as_matrix(y, "data matrix")
     n, d = arr.shape
-    # gram has checked finiteness and made its result exactly symmetric.
+    return _gram_spectrum(gram(arr if n <= d else arr.T), n, d)
+
+
+def _gram_spectrum(a: np.ndarray, n: int, d: int) -> np.ndarray:
+    """``empirical_spectrum`` of n samples in d dimensions from their smaller gram ``a``.
+
+    ``a`` must be finite and exactly symmetric, as ``gram`` makes it; it
+    is not modified.
+    """
     # eigvalsh returns ascending values; clipping and zero-padding at the
     # front keep them ascending.
-    vals = np.clip(np.linalg.eigvalsh(gram(arr if n <= d else arr.T)) / n, 0.0, None)
-    if n < d:
-        vals = np.concatenate([np.zeros(d - n), vals])
+    vals = np.clip(np.linalg.eigvalsh(a) / n, 0.0, None)
+    if a.shape[0] < d:
+        vals = np.concatenate([np.zeros(d - a.shape[0]), vals])
     return vals
 
 

@@ -23,8 +23,9 @@ from specest.cli import (
     write_cdf_csv,
 )
 from specest.linalg import empirical_spectrum
-from specest.recovery import RecoveryConfig, estimate_spectrum
-from specest.synth import CovarianceModel, factor, sample
+from specest.recovery import RecoveryConfig, estimate_spectrum, recover_distribution
+from specest.synth import CovarianceModel, factor, sample, true_spectrum
+from specest.wasserstein import l1_sorted
 
 from helpers import save_matrix_csv, validate_cdf_file
 
@@ -158,6 +159,55 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert "failed" in err and "exceeds sample count" in err
 
+    def test_k_above_n_fails_before_any_gram(self, tmp_path, monkeypatch, capsys):
+        # n = 1 and 2 take the n <= d path, n = 4 and 32 the n > d one.
+        def no_gram(*args):
+            raise AssertionError("a gram was formed")
+
+        monkeypatch.setattr("specest.cli.gram", no_gram)
+        monkeypatch.setattr("specest.moments._require_finite", no_gram)
+        argv = ["simulate", "--family", "identity", "--d", "2", "--d", "16",
+                "--n-ratio", "1/8", "--n-ratio", "2", "--trials", "1", "--k", "40"]
+        assert main([*argv, "--out", str(tmp_path / "run")]) == 1
+        err = capsys.readouterr().err
+        assert err.count("failed:") == err.count("exceeds sample count") == 4
+
+    @pytest.mark.parametrize("ratio", ["1/2", "1", "2"])
+    def test_trial_files_match_the_library(self, tmp_path, monkeypatch, ratio):
+        # An n <= d trial shares one gram between the estimate and the
+        # baseline; its files and W1 columns must be the library's on the
+        # same draw, as an n > d trial's are.
+        draws = []
+
+        def recorded(*args):
+            draws.append(sample(*args))
+            return draws[-1]
+
+        monkeypatch.setattr("specest.cli.sample", recorded)
+        d, out = 64, tmp_path / "run"
+        argv = ["simulate", "--family", "uniform_spectrum", "--d", str(d), "--n-ratio", ratio,
+                "--trials", "2", "--seed", "9", "--out", str(out)]
+        assert main(argv) == 0
+        model = CovarianceModel("uniform_spectrum", d)
+        true_vec = true_spectrum(model)
+        cfg = RecoveryConfig(b=float(true_vec[-1]))
+        rows = read_summary(out / "summary.csv")[1:]
+        assert len(rows) == len(draws) == 2
+        for row, y in zip(rows, draws):
+            assert int(row[2]) == y.shape[0]
+            expected = {
+                "true": true_vec,
+                "empirical": empirical_spectrum(y),
+                "recovered": estimate_spectrum(y, cfg),
+            }
+            stem = f"cdf_uniform_spectrum_d{d}_n{row[2]}_trial{row[3]}"
+            for label, vec in expected.items():
+                ref = tmp_path / f"ref_{label}.csv"
+                write_cdf_csv(str(ref), vec)
+                assert (out / f"{stem}_{label}.csv").read_bytes() == ref.read_bytes(), label
+            assert float(row[4]) == l1_sorted(expected["recovered"], true_vec) / d
+            assert float(row[5]) == l1_sorted(expected["empirical"], true_vec) / d
+
     def test_summary_row_order(self, tmp_path):
         out = tmp_path / "run"
         code = main(
@@ -180,13 +230,14 @@ class TestSimulate:
     def test_failed_trial_is_named_and_others_kept(self, tmp_path, monkeypatch, capsys):
         calls = []
 
-        def flaky(y, cfg):
+        def flaky(est):
             calls.append(None)
             if len(calls) == 2:  # trials run in order, so this is trial 1
                 raise RuntimeError("solver exploded")
-            return estimate_spectrum(y, cfg)
+            return recover_distribution(est)
 
-        monkeypatch.setattr("specest.cli.estimate_spectrum", flaky)
+        # An n <= d trial recovers from the estimate's moments itself.
+        monkeypatch.setattr("specest.cli.recover_distribution", flaky)
         out = tmp_path / "run"
         code = main(
             [
