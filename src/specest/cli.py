@@ -12,9 +12,8 @@ import time
 import numpy as np
 
 from .chebyshev import chebyshev_construction, moments_of, root_weight_bounds_check
-from .linalg import NonFiniteError, _gram_spectrum, empirical_spectrum, gram, load_matrix_csv
-from .moments import _gram_moments, _validate_k
-from .recovery import RecoveryConfig, estimate_spectrum, quantile_vector, recover_distribution
+from .linalg import NonFiniteError, empirical_spectrum, load_matrix_csv
+from .recovery import RecoveryConfig, _estimate_and_baseline, estimate_spectrum
 from .synth import ENTRY_KINDS, FAMILIES, CovarianceModel, factor, sample, true_spectrum
 from .wasserstein import l1_sorted, w1
 
@@ -52,19 +51,7 @@ def _run_trial(
     # The seed, the trial index and the cell coordinates are separate
     # entropy words, so no trial of one seed repeats a draw of another.
     y = sample(s, n, args.entry_dist, (args.seed, trial, FAMILIES.index(args.family), d, n))
-    if n <= d:
-        # The n x n gram the estimate reads is also the baseline's: its
-        # eigenvalues are taken before the moment kernel overwrites it.
-        # The same arithmetic, and the same k check before any gram, as
-        # empirical_spectrum and estimate_spectrum.
-        _validate_k(n, cfg.k_max)
-        a = gram(y)
-        empirical = _gram_spectrum(a, n, d)
-        est = _gram_moments(a, d, cfg.k_max, cfg.b)
-        recovered = quantile_vector(recover_distribution(est), d) * cfg.b
-    else:
-        recovered = estimate_spectrum(y, cfg)
-        empirical = empirical_spectrum(y)
+    recovered, empirical = _estimate_and_baseline(y, cfg)
     w1_rec = l1_sorted(recovered, true_vec) / d
     w1_emp = l1_sorted(empirical, true_vec) / d
     runtime_ms = (time.perf_counter() - start) * 1000.0

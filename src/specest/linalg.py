@@ -29,9 +29,6 @@ def _as_matrix(a, name: str = "matrix") -> np.ndarray:
         raise ValueError(f"{name} must be 2-dimensional, got shape {arr.shape}")
     if arr.shape[0] < 1 or arr.shape[1] < 1:
         raise ValueError(f"{name} must be non-empty, got shape {arr.shape}")
-    # Each product with a strided matrix would reach BLAS through copies.
-    if not (arr.flags.c_contiguous or arr.flags.f_contiguous):
-        arr = np.ascontiguousarray(arr)
     return arr
 
 
@@ -41,27 +38,21 @@ def _as_matrix(a, name: str = "matrix") -> np.ndarray:
 def gram(y) -> np.ndarray:
     """Gram matrix of the rows of ``y``: out[i, j] = <row i, row j>."""
     arr = _as_matrix(y, "data matrix")
+    if not (arr.flags.c_contiguous or arr.flags.f_contiguous):
+        arr = np.ascontiguousarray(arr)
     # On one contiguous buffer, numpy computes x @ x.T as a symmetric
     # rank-k update and mirrors the triangle, so both triangles carry the
-    # same rounding.
+    # same rounding. A strided x would reach BLAS as two separate copies.
     a = arr @ arr.T
-    _require_finite(a, arr)
-    return a
-
-
-def _require_finite(a: np.ndarray, y: np.ndarray) -> None:
-    """Raise NonFiniteError unless ``a``, rows of the gram of ``y``'s rows, is finite.
-
-    A NaN or infinity in row i of ``y`` makes the diagonal entry
-    sum_j y_ij^2 non-finite, and a block of gram rows holds its rows'
-    diagonal entries, so the input needs a pass only when the output
-    fails. min and max propagate NaN and find either infinity without
-    the boolean temporary of isfinite(a).
-    """
+    # A NaN or infinity in row i makes the diagonal entry sum_j y_ij^2
+    # non-finite, so the input needs a pass only when the output fails.
+    # min and max propagate NaN and find either infinity without the n x n
+    # boolean temporary of isfinite(a).
     if not (np.isfinite(a.min()) and np.isfinite(a.max())):
-        if not np.isfinite(y).all():
+        if not np.isfinite(arr).all():
             raise NonFiniteError("data matrix contains non-finite entries")
         raise NonFiniteError("gram matrix overflowed to non-finite values")
+    return a
 
 
 def empirical_spectrum(y) -> np.ndarray:

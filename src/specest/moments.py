@@ -30,15 +30,11 @@ computed only on the tiles (I, J >= I) where its upper triangular output
 can be non-zero, over the inner range where both factors can be: about a
 sixth of the flops of a dense n x n product as n grows.
 
-Since only the upper triangle of A is read, A itself is formed on that
-triangle alone, by GEMM row blocks Y[i:j] Y[i:]^T of the tile height
-(one block when d >= 2n); its lower triangle is never computed. A
-strictly upper triangular power leaves the lower triangle of its n x n
-array unused too, so the powers above G^ceil(h / 2) are kept, transposed,
-in the lower triangles of the arrays that hold G..G^ceil(h / 2). The
-kernel keeps ceil(h / 2) n x n arrays, the same count as when the gram
-was formed whole: one, the gram's own, for k_max <= 5, and two for
-k_max <= 9.
+A strictly upper triangular power leaves the lower triangle of its n x n
+array unused, so the powers above G^ceil(h / 2) are kept, transposed, in
+the lower triangles of the arrays that hold G..G^ceil(h / 2). The kernel
+keeps ceil(h / 2) n x n arrays: one, the gram's own, for k_max <= 5, and
+two for k_max <= 9.
 
 The average requires no bias correction at any sample size, which is
 what makes the estimator usable when n is far below d.
@@ -52,7 +48,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .linalg import NonFiniteError, _as_matrix, _require_finite
+from .linalg import NonFiniteError, _as_matrix, gram
 
 __all__ = [
     "MomentEstimate",
@@ -90,9 +86,6 @@ class MomentEstimate:
 def _tile_edge(n: int) -> int:
     """Tile edge of the triangular products for an n x n gram.
 
-    It also sets the height of the row blocks the gram is formed in,
-    unless ``estimate_moments`` forms it in one block (d >= 2n).
-
     At k_max = 5 on a 2-CPU host, 128 beat 256 at n = 200 and 256, where
     256 is one tile (0.70-0.75 against 0.83-0.89 and 1.31-1.35 against
     1.80-1.85 ms, medians of 61), and at n = 512 and 1024 (4.0-4.1 against
@@ -100,12 +93,6 @@ def _tile_edge(n: int) -> int:
     n = 2048 (127-132 against 135 ms). n <= 128 is one tile either way.
     """
     return 128 if n < 2048 else 256
-
-
-def _blocks(n: int) -> list[tuple[int, int]]:
-    """The row ranges [i, j) of the tiles of an n x n gram, the last one ragged."""
-    edge = _tile_edge(n)
-    return [(i, min(i + edge, n)) for i in range(0, n, edge)]
 
 
 def _cycle_traces(a: np.ndarray, k_max: int) -> np.ndarray:
@@ -141,7 +128,8 @@ def _cycle_traces(a: np.ndarray, k_max: int) -> np.ndarray:
     out[0] = np.trace(a)
     if k_max == 1:
         return out
-    blocks = _blocks(n)
+    edge = _tile_edge(n)
+    blocks = [(i, min(i + edge, n)) for i in range(0, n, edge)]
     g = a
     for i, j in blocks:
         g[i:j, i:j] = np.triu(g[i:j, i:j], 1)
@@ -201,7 +189,7 @@ def _validate_k(n: int, k: int) -> None:
         raise ValueError(f"moment order k={k} exceeds sample count n={n}")
 
 
-# Overflow is checked for and raised as NonFiniteError.
+# Overflow is checked for at the end and raised as NonFiniteError.
 @np.errstate(over="ignore", invalid="ignore")
 def estimate_moments(y, k_max: int, b: float = 1.0) -> MomentEstimate:
     """Estimate spectral moments 1..k_max of the b-rescaled covariance.
@@ -227,39 +215,30 @@ def estimate_moments(y, k_max: int, b: float = 1.0) -> MomentEstimate:
     ------
     NonFiniteError
         If ``y`` has a non-finite entry ("data matrix contains non-finite
-        entries"), or if the gram matrix ("gram matrix overflowed") or the
-        cycle traces overflow, as a tiny b makes them.
+        entries", from ``gram``), or if the gram matrix or the cycle traces
+        overflow, as a tiny b makes them.
     """
     y = _as_matrix(y, "data matrix")
     n, d = y.shape
     _validate_k(n, k_max)
     if not 0 < b < math.inf:
         raise ValueError(f"scale must be positive and finite, got b={b}")
-    # The kernel reads only the gram's upper triangle, so it is formed in
-    # row blocks a[i:j, i:], one GEMM each, and its lower triangle is left
-    # for the kernel to overwrite. From d = 2n one GEMM of the whole gram
-    # is faster (6.1 against 7.7 ms at n = 256, d = 4096).
-    a = np.empty((n, n))
-    for i, j in _blocks(n) if d < 2 * n else [(0, n)]:
-        np.matmul(y[i:j], y[i:].T, out=a[i:j, i:])
-        _require_finite(a[i:j, i:], y)
-    return _gram_moments(a, d, k_max, b)
+    return _gram_moments(gram(y), d, k_max, b)
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def _gram_moments(a: np.ndarray, d: int, k_max: int, b: float) -> MomentEstimate:
-    """``estimate_moments`` of d-dimensional samples from their finite n x n gram ``a``.
+    """The rest of ``estimate_moments``, from the n x n gram ``a`` of d-dimensional samples.
 
-    Reads only the upper triangle of ``a``, and overwrites ``a``.
+    ``a`` must be finite, as ``gram`` checks; it is overwritten.
     """
     n = a.shape[0]
     # Scaling the gram matrix by 1/b is the same map as scaling the
-    # samples by 1/sqrt(b), one pass over the upper triangle instead of an
-    # n*d pass. In place: _cycle_traces then keeps G in its upper triangle
-    # and the transposed top powers of G in its lower one, so for
-    # k_max <= 5 this is the only n x n array (two for k_max <= 9).
-    for i, j in _blocks(n):
-        a[i:j, i:] /= b
+    # samples by 1/sqrt(b), one n^2 pass instead of an n*d pass. In place:
+    # _cycle_traces then keeps G in its upper triangle and the transposed
+    # top powers of G in its lower one, so for k_max <= 5 this is the only
+    # n x n array (two for k_max <= 9).
+    a /= b
     traces = _cycle_traces(a, k_max)
     if not np.isfinite(traces).all():
         raise NonFiniteError(f"moment estimates overflowed to non-finite values at b={b!r}")

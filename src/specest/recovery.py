@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lp
-from .moments import MomentEstimate, estimate_moments
+from .linalg import _as_matrix, _gram_spectrum, empirical_spectrum, gram
+from .moments import MomentEstimate, _gram_moments, _validate_k, estimate_moments
 from .wasserstein import PointMassDistribution
 
 __all__ = [
@@ -111,7 +112,27 @@ def estimate_spectrum(y, cfg: RecoveryConfig) -> np.ndarray:
     Returns an ascending length-d vector in original eigenvalue units
     (quantiles of the recovered distribution rescaled by cfg.b).
     """
-    est = estimate_moments(y, cfg.k_max, cfg.b)
-    dist = recover_distribution(est)
-    return quantile_vector(dist, est.d) * cfg.b
+    return _spectrum(estimate_moments(y, cfg.k_max, cfg.b), cfg.b)
+
+
+def _spectrum(est: MomentEstimate, b: float) -> np.ndarray:
+    """The eigenvalue estimates in original units from the b-rescaled moments ``est``."""
+    return quantile_vector(recover_distribution(est), est.d) * b
+
+
+def _estimate_and_baseline(y, cfg: RecoveryConfig) -> tuple[np.ndarray, np.ndarray]:
+    """``estimate_spectrum(y, cfg)`` and ``empirical_spectrum(y)``, bit for bit.
+
+    When n <= d both read the same n x n gram, so it is formed once: the
+    baseline's eigenvalues are taken before the moment kernel overwrites
+    it. k is checked before any gram, as ``estimate_moments`` checks it.
+    """
+    y = _as_matrix(y, "data matrix")
+    n, d = y.shape
+    if n > d:
+        return estimate_spectrum(y, cfg), empirical_spectrum(y)
+    _validate_k(n, cfg.k_max)
+    a = gram(y)
+    empirical = _gram_spectrum(a, n, d)
+    return _spectrum(_gram_moments(a, d, cfg.k_max, cfg.b), cfg.b), empirical
 

@@ -23,7 +23,7 @@ from specest.cli import (
     write_cdf_csv,
 )
 from specest.linalg import empirical_spectrum
-from specest.recovery import RecoveryConfig, estimate_spectrum, recover_distribution
+from specest.recovery import RecoveryConfig, _estimate_and_baseline, estimate_spectrum
 from specest.synth import CovarianceModel, factor, sample, true_spectrum
 from specest.wasserstein import l1_sorted
 
@@ -164,8 +164,8 @@ class TestSimulate:
         def no_gram(*args):
             raise AssertionError("a gram was formed")
 
-        monkeypatch.setattr("specest.cli.gram", no_gram)
-        monkeypatch.setattr("specest.moments._require_finite", no_gram)
+        monkeypatch.setattr("specest.recovery.gram", no_gram)
+        monkeypatch.setattr("specest.moments.gram", no_gram)
         argv = ["simulate", "--family", "identity", "--d", "2", "--d", "16",
                 "--n-ratio", "1/8", "--n-ratio", "2", "--trials", "1", "--k", "40"]
         assert main([*argv, "--out", str(tmp_path / "run")]) == 1
@@ -175,8 +175,8 @@ class TestSimulate:
     @pytest.mark.parametrize("ratio", ["1/2", "1", "2"])
     def test_trial_files_match_the_library(self, tmp_path, monkeypatch, ratio):
         # An n <= d trial shares one gram between the estimate and the
-        # baseline; its files and W1 columns must be the library's on the
-        # same draw, as an n > d trial's are.
+        # baseline; its files and W1 columns must still be the library's on
+        # the same draw, as an n > d trial's are.
         draws = []
 
         def recorded(*args):
@@ -230,14 +230,13 @@ class TestSimulate:
     def test_failed_trial_is_named_and_others_kept(self, tmp_path, monkeypatch, capsys):
         calls = []
 
-        def flaky(est):
+        def flaky(y, cfg):
             calls.append(None)
             if len(calls) == 2:  # trials run in order, so this is trial 1
                 raise RuntimeError("solver exploded")
-            return recover_distribution(est)
+            return _estimate_and_baseline(y, cfg)
 
-        # An n <= d trial recovers from the estimate's moments itself.
-        monkeypatch.setattr("specest.cli.recover_distribution", flaky)
+        monkeypatch.setattr("specest.cli._estimate_and_baseline", flaky)
         out = tmp_path / "run"
         code = main(
             [

@@ -17,6 +17,7 @@ from specest.recovery import (
     MESH_CAP,
     WEIGHT_FLOOR,
     RecoveryConfig,
+    _estimate_and_baseline,
     default_weights,
     estimate_spectrum,
     quantile_vector,
@@ -300,6 +301,17 @@ class TestEstimateSpectrum:
         np.testing.assert_allclose(est.values, [0.5, 0, 0, 0, 0, 0, 0], atol=1e-15)
         out = estimate_spectrum(y, RecoveryConfig(b=b))
         np.testing.assert_array_equal(out, np.zeros(8))
+
+    @pytest.mark.parametrize("n, d", [(40, 64), (64, 64), (300, 320), (100, 30)])
+    def test_shared_gram_gives_both_library_results(self, n, d):
+        # n <= d forms one gram for both, in several tiles at n = 300.
+        y = np.random.default_rng(n + d).standard_normal((n, d))
+        cfg = RecoveryConfig(b=4.0)
+        kept = y.copy()
+        recovered, empirical = _estimate_and_baseline(y, cfg)
+        np.testing.assert_array_equal(recovered, estimate_spectrum(y, cfg))
+        np.testing.assert_array_equal(empirical, empirical_spectrum(y))
+        np.testing.assert_array_equal(y, kept)
 
     def test_rejects_1d_input(self):
         with pytest.raises(ValueError, match="2-dimensional"):
