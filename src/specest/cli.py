@@ -12,7 +12,7 @@ import time
 import numpy as np
 
 from .chebyshev import chebyshev_construction, moments_of, root_weight_bounds_check
-from .linalg import NonFiniteError, empirical_spectrum, load_matrix_csv
+from .linalg import NonFiniteError, load_matrix_csv
 from .recovery import RecoveryConfig, _estimate_and_baseline, estimate_spectrum
 from .synth import ENTRY_KINDS, FAMILIES, CovarianceModel, factor, sample, true_spectrum
 from .wasserstein import l1_sorted, w1
@@ -51,7 +51,7 @@ def _run_trial(
     # The seed, the trial index and the cell coordinates are separate
     # entropy words, so no trial of one seed repeats a draw of another.
     y = sample(s, n, args.entry_dist, (args.seed, trial, FAMILIES.index(args.family), d, n))
-    recovered, empirical = _estimate_and_baseline(y, cfg)
+    recovered, empirical, _ = _estimate_and_baseline(y, cfg.k_max, cfg.b)
     w1_rec = l1_sorted(recovered, true_vec) / d
     w1_emp = l1_sorted(empirical, true_vec) / d
     runtime_ms = (time.perf_counter() - start) * 1000.0
@@ -191,13 +191,10 @@ def cmd_simulate(args) -> int:
 
 def cmd_estimate(args) -> int:
     y = load_matrix_csv(args.input)
-    b = args.b
-    if b is None:
-        # A guess, not a bound: nothing ensures it bounds the population spectrum.
-        b = 2.0 * float(empirical_spectrum(y)[-1]) or 1.0
-    spectrum = estimate_spectrum(y, RecoveryConfig(b=b, k_max=args.k))
-    # After the estimate, so an input error prints one error: line alone.
-    if args.b is None:
+    if args.b is not None:
+        spectrum = estimate_spectrum(y, RecoveryConfig(b=args.b, k_max=args.k))
+    else:
+        spectrum, _, b = _estimate_and_baseline(y, args.k, None)
         print(
             f"note: using heuristic eigenvalue bound b={b!r} (2x top empirical "
             "eigenvalue; 1.0 if that is 0); pass --b for a guaranteed bound",

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lp
-from .linalg import _as_matrix, _gram_spectrum, empirical_spectrum, gram
+from .linalg import NonFiniteError, _as_matrix, _gram_spectrum, empirical_spectrum, gram
 from .moments import MomentEstimate, _gram_moments, _validate_k, estimate_moments
 from .wasserstein import PointMassDistribution
 
@@ -120,19 +120,22 @@ def _spectrum(est: MomentEstimate, b: float) -> np.ndarray:
     return quantile_vector(recover_distribution(est), est.d) * b
 
 
-def _estimate_and_baseline(y, cfg: RecoveryConfig) -> tuple[np.ndarray, np.ndarray]:
-    """``estimate_spectrum(y, cfg)`` and ``empirical_spectrum(y)``, bit for bit.
+def _estimate_and_baseline(y, k_max: int, b: float | None) -> tuple[np.ndarray, np.ndarray, float]:
+    """``estimate_spectrum`` and ``empirical_spectrum`` of ``y``, bit for bit, and the b used.
 
-    When n <= d both read the same n x n gram, so it is formed once: the
-    baseline's eigenvalues are taken before the moment kernel overwrites
-    it. k is checked before any gram, as ``estimate_moments`` checks it.
+    b=None guesses 2x the top empirical eigenvalue (1.0 if 0), not a bound.
+    k is checked before any gram. At n <= d both read one n x n gram: the
+    baseline's eigenvalues are taken before the moment kernel overwrites it.
     """
     y = _as_matrix(y, "data matrix")
     n, d = y.shape
-    if n > d:
-        return estimate_spectrum(y, cfg), empirical_spectrum(y)
-    _validate_k(n, cfg.k_max)
-    a = gram(y)
-    empirical = _gram_spectrum(a, n, d)
-    return _spectrum(_gram_moments(a, d, cfg.k_max, cfg.b), cfg.b), empirical
-
+    _validate_k(n, k_max)
+    a = gram(y) if n <= d else None
+    empirical = empirical_spectrum(y) if a is None else _gram_spectrum(a, n, d)
+    if b is None:
+        b = 2.0 * float(empirical[-1]) or 1.0
+        if not math.isfinite(b):
+            raise NonFiniteError("top empirical eigenvalue overflowed the guess b = 2x top; pass --b")
+    RecoveryConfig(b=b, k_max=k_max)  # the check of b every estimate gets
+    est = estimate_moments(y, k_max, b) if a is None else _gram_moments(a, d, k_max, b)
+    return _spectrum(est, b), empirical, b

@@ -22,7 +22,7 @@ from specest.cli import (
     main,
     write_cdf_csv,
 )
-from specest.linalg import empirical_spectrum
+from specest.linalg import empirical_spectrum, gram
 from specest.recovery import RecoveryConfig, _estimate_and_baseline, estimate_spectrum
 from specest.synth import CovarianceModel, factor, sample, true_spectrum
 from specest.wasserstein import l1_sorted
@@ -230,11 +230,11 @@ class TestSimulate:
     def test_failed_trial_is_named_and_others_kept(self, tmp_path, monkeypatch, capsys):
         calls = []
 
-        def flaky(y, cfg):
+        def flaky(y, k_max, b):
             calls.append(None)
             if len(calls) == 2:  # trials run in order, so this is trial 1
                 raise RuntimeError("solver exploded")
-            return _estimate_and_baseline(y, cfg)
+            return _estimate_and_baseline(y, k_max, b)
 
         monkeypatch.setattr("specest.cli._estimate_and_baseline", flaky)
         out = tmp_path / "run"
@@ -380,19 +380,44 @@ class TestSimulate:
             )
 
 
+def counted_grams(monkeypatch):
+    """Route every gram the package forms through a counter; returns its call list."""
+    calls = []
+
+    def counted(y):
+        calls.append(None)
+        return gram(y)
+
+    for module in ("linalg", "moments", "recovery"):
+        monkeypatch.setattr(f"specest.{module}.gram", counted)
+    return calls
+
+
 class TestEstimate:
-    def test_matches_library_call(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        ("shape", "bound"),
+        [((16, 8), ["--b", "16.0"]), ((8, 16), []), ((16, 8), [])],
+        ids=["given_b", "guess_n_le_d", "guess_n_gt_d"],
+    )
+    def test_matches_library_call(self, tmp_path, capsys, shape, bound):
+        # Without --b the estimate is the library's at the guess the note names.
         rng = np.random.default_rng(60)
-        y = rng.standard_normal((16, 8))
+        y = rng.standard_normal(shape)
         path = tmp_path / "y.csv"
         save_matrix_csv(path, y)
-        code = main(["estimate", str(path), "--b", "16.0", "--k", "5"])
+        code = main(["estimate", str(path), *bound, "--k", "5"])
         assert code == 0
-        printed = np.array(
-            [float(line) for line in capsys.readouterr().out.split()]
-        )
-        expected = estimate_spectrum(y, RecoveryConfig(b=16.0, k_max=5))
-        np.testing.assert_array_equal(printed, expected)
+        b = float(bound[1]) if bound else 2.0 * float(empirical_spectrum(y)[-1]) or 1.0
+        expected = estimate_spectrum(y, RecoveryConfig(b=b, k_max=5))
+        assert capsys.readouterr().out == "".join(f"{float(v)!r}\n" for v in expected)
+
+    def test_guess_at_n_le_d_forms_one_gram(self, tmp_path, monkeypatch):
+        # The guess reads the gram the estimate then uses.
+        grams = counted_grams(monkeypatch)
+        path = tmp_path / "y.csv"
+        save_matrix_csv(path, np.random.default_rng(64).standard_normal((8, 16)))
+        assert main(["estimate", str(path), "--out", str(tmp_path / "o")]) == 0
+        assert len(grams) == 1
 
     def test_writes_output_file(self, tmp_path):
         y = np.eye(8) * np.sqrt(8.0)
@@ -432,26 +457,26 @@ class TestEstimate:
         ids=["twice_top", "zero_data_fallback"],
     )
     def test_heuristic_bound_in_the_note(self, tmp_path, capsys, monkeypatch, rows, note):
-        # The guess takes one empirical spectrum.
+        # The guess takes one baseline, from the one call that also estimates.
         calls = []
 
-        def counted(y):
-            calls.append(y)
-            return empirical_spectrum(y)
+        def counted(y, k_max, b):
+            calls.append(b)
+            return _estimate_and_baseline(y, k_max, b)
 
-        monkeypatch.setattr(cli, "empirical_spectrum", counted)
+        monkeypatch.setattr(cli, "_estimate_and_baseline", counted)
         path = tmp_path / "y.csv"
         path.write_text(rows)
         assert main(["estimate", str(path), "--k", "2"]) == 0
         assert note in capsys.readouterr().err
-        assert len(calls) == 1
+        assert calls == [None]
 
     def test_explicit_bound_not_flagged(self, tmp_path, capsys, monkeypatch):
         # An explicit --b computes no guess, so no empirical spectrum.
-        def refuse(y):
+        def refuse(y, k_max, b):
             raise AssertionError("an explicit --b needs no empirical spectrum")
 
-        monkeypatch.setattr(cli, "empirical_spectrum", refuse)
+        monkeypatch.setattr(cli, "_estimate_and_baseline", refuse)
         rng = np.random.default_rng(62)
         path = tmp_path / "y.csv"
         save_matrix_csv(path, rng.standard_normal((10, 4)))
@@ -529,13 +554,35 @@ class TestEstimate:
         captured = capsys.readouterr()
         assert "finite" in captured.err and captured.out == ""
 
-    def test_k_above_sample_count(self, tmp_path, capsys):
+    @pytest.mark.parametrize("bound", [[], ["--b", "2.0"]], ids=["guess", "given_b"])
+    def test_k_above_sample_count(self, tmp_path, capsys, monkeypatch, bound):
+        # k is checked before any gram, with or without the guess.
+        grams = counted_grams(monkeypatch)
         path = tmp_path / "y.csv"
         save_matrix_csv(path, np.ones((3, 5)))
-        code = main(["estimate", str(path), "--k", "4"])
+        code = main(["estimate", str(path), "--k", "4", *bound])
         assert code == 2
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and "exceeds sample count" in lines[0]
+        assert grams == []
+
+    @pytest.mark.parametrize(
+        "rows, k",
+        [("1.3e154\n", "1"), ("0.7e154,0.7e154\n0.7e154,0.7e154\n", "2")],
+        ids=["1x1", "2x2"],
+    )
+    def test_overflowing_guess_suggests_a_bound(self, tmp_path, capsys, rows, k):
+        # Finite data whose guess 2x top overflows (the 1 x 1 top, 1.69e308,
+        # is itself finite): the error blames the guess, not a --b never passed.
+        path = tmp_path / "y.csv"
+        path.write_text(rows)
+        assert main(["estimate", str(path), "--k", k]) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and captured.out == ""
+        assert "top empirical eigenvalue overflowed the guess" in lines[0]
+        assert "pass --b" in lines[0] and "b=inf" not in lines[0]
+        assert main(["estimate", str(path), "--k", k, "--b", "1e308"]) == 0
 
     def test_k_zero_is_usage_error(self, tmp_path):
         path = tmp_path / "y.csv"

@@ -18,8 +18,8 @@ moment differences are exact sums (``chebyshev.moments_of``), a draw with
 a diagonal factor scales its entries without the BLAS, and an estimate is
 a vector of mesh points times b, where the rounding the BLAS adds to the
 gram and the moment kernel rarely moves a quantile to another mesh point.
-The 44 cases other than the draws held under OpenBLAS's Haswell and
-Nehalem kernels and on one BLAS thread, while the empirical parts moved
+All 47 portable cases held under OpenBLAS's Haswell, Nehalem and
+SandyBridge kernels and on one BLAS thread, while the empirical parts moved
 under the forced kernels; other numpy versions and non-x86 CPUs are
 untried.
 

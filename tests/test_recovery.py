@@ -308,7 +308,8 @@ class TestEstimateSpectrum:
         y = np.random.default_rng(n + d).standard_normal((n, d))
         cfg = RecoveryConfig(b=4.0)
         kept = y.copy()
-        recovered, empirical = _estimate_and_baseline(y, cfg)
+        recovered, empirical, b = _estimate_and_baseline(y, cfg.k_max, cfg.b)
+        assert b == cfg.b
         np.testing.assert_array_equal(recovered, estimate_spectrum(y, cfg))
         np.testing.assert_array_equal(empirical, empirical_spectrum(y))
         np.testing.assert_array_equal(y, kept)
