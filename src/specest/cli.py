@@ -45,7 +45,8 @@ def _run_trial(
 ) -> list:
     """One simulated trial: writes its three CDF files, returns its summary row.
 
-    ``true_cdf`` is ``true_vec``'s CDF text, rendered once per dimension.
+    ``true_cdf`` is ``true_vec``'s CDF text, rendered once per dimension. The
+    sample lives in this frame alone, so it is freed before the next draw.
     """
     start = time.perf_counter()
     # The seed, the trial index and the cell coordinates are separate
@@ -61,46 +62,6 @@ def _run_trial(
     write_cdf_csv(f"{stem}_empirical.csv", empirical)
     write_cdf_csv(f"{stem}_recovered.csv", recovered)
     return [args.family, d, n, trial, repr(w1_rec), repr(w1_emp), repr(round(runtime_ms, 3))]
-
-
-def run_experiment(args) -> tuple[list[list], list[str]]:
-    """Run each distinct (d, n, trial) cell of a parsed ``simulate`` line once.
-
-    Returns the summary rows (``SUMMARY_COLUMNS``) in key order plus
-    failure notes.
-    The seed and every model, config and sample count are checked, and
-    every factor built, before the output directory is created, so a bad
-    seed, family/dimension pair, bound or ratio, or a factor too large to
-    allocate, leaves nothing behind.
-    """
-    if args.seed < 0:
-        raise ValueError(f"seed must be non-negative, got {args.seed}")
-    dims = []
-    for d in sorted(set(args.d)):
-        model = CovarianceModel(args.family, d)
-        true_vec = true_spectrum(model)
-        cfg = RecoveryConfig(b=args.b if args.b is not None else float(true_vec[-1]), k_max=args.k)
-        # numpy's own array-size limit, for the n x d float64 sample matrix;
-        # n is capped at 2^63 first, so an infinite ratio * d fails it too.
-        ns = sorted({max(1, round(min(ratio * d, 2.0**63))) for ratio in args.n_ratio})
-        if max(ns) * d * 8 > np.iinfo(np.intp).max:
-            raise ValueError(
-                f"an n ratio at d={d} gives n={max(ns):.3g}, past numpy's array-size limit"
-            )
-        dims.append((factor(model), true_vec, _cdf_text(true_vec), cfg, d, ns))
-    os.makedirs(args.out, exist_ok=True)
-    rows: list[list] = []
-    failures: list[str] = []
-    for s, true_vec, true_cdf, cfg, d, ns in dims:
-        for n in ns:
-            for t in range(args.trials):
-                try:
-                    rows.append(_run_trial(args, s, true_vec, true_cdf, cfg, d, n, t))
-                except Exception as exc:  # noqa: BLE001 - cell failures are enumerated, not fatal
-                    failures.append(
-                        f"{args.family} d={d} n={n} trial={t}: {type(exc).__name__}: {exc}"
-                    )
-    return rows, failures
 
 
 def _parse_ratio(text: str) -> float:
@@ -177,12 +138,46 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_simulate(args) -> int:
+    """Run each distinct (d, n, trial) cell of a parsed ``simulate`` line once.
+
+    Writes each trial's CDF files and the summary rows (``SUMMARY_COLUMNS``)
+    in key order, then names each failed trial on stderr and exits 1 if
+    there was one. The seed and every model, config and sample count are
+    checked, and every factor built, before the output directory is
+    created, so a bad seed, family/dimension pair, bound or ratio, or a
+    factor too large to allocate, leaves nothing behind.
+    """
+    if args.seed < 0:
+        raise ValueError(f"seed must be non-negative, got {args.seed}")
     # Defaults for the repeatable options: an argparse default list would
     # be appended to rather than replaced.
-    args.d = args.d or [512]
-    args.n_ratio = args.n_ratio or [0.125, 0.25, 0.5, 1.0, 2.0]
-    rows, failures = run_experiment(args)
-    text = "".join(",".join(map(str, row)) + "\r\n" for row in [SUMMARY_COLUMNS, *rows])
+    ratios = args.n_ratio or [0.125, 0.25, 0.5, 1.0, 2.0]
+    dims = []
+    for d in sorted(set(args.d or [512])):
+        model = CovarianceModel(args.family, d)
+        true_vec = true_spectrum(model)
+        cfg = RecoveryConfig(b=args.b if args.b is not None else float(true_vec[-1]), k_max=args.k)
+        # numpy's own array-size limit, for the n x d float64 sample matrix;
+        # n is capped at 2^63 first, so an infinite ratio * d fails it too.
+        ns = sorted({max(1, round(min(ratio * d, 2.0**63))) for ratio in ratios})
+        if max(ns) * d * 8 > np.iinfo(np.intp).max:
+            raise ValueError(
+                f"an n ratio at d={d} gives n={max(ns):.3g}, past numpy's array-size limit"
+            )
+        dims.append((factor(model), true_vec, _cdf_text(true_vec), cfg, d, ns))
+    os.makedirs(args.out, exist_ok=True)
+    rows: list = [SUMMARY_COLUMNS]
+    failures: list[str] = []
+    for s, true_vec, true_cdf, cfg, d, ns in dims:
+        for n in ns:
+            for t in range(args.trials):
+                try:
+                    rows.append(_run_trial(args, s, true_vec, true_cdf, cfg, d, n, t))
+                except Exception as exc:  # noqa: BLE001 - cell failures are enumerated, not fatal
+                    failures.append(
+                        f"{args.family} d={d} n={n} trial={t}: {type(exc).__name__}: {exc}"
+                    )
+    text = "".join(",".join(map(str, row)) + "\r\n" for row in rows)
     _emit(text, os.path.join(args.out, "summary.csv"))
     for note in failures:
         print(f"failed: {note}", file=sys.stderr)

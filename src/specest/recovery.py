@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lp
-from .linalg import NonFiniteError, _as_matrix, _gram_spectrum, empirical_spectrum, gram
+from .linalg import NonFiniteError, _gram_spectrum, empirical_spectrum, gram
 from .moments import MomentEstimate, _gram_moments, _validate_k, estimate_moments
 from .wasserstein import PointMassDistribution
 
@@ -124,10 +124,11 @@ def _estimate_and_baseline(y, k_max: int, b: float | None) -> tuple[np.ndarray, 
     """``estimate_spectrum`` and ``empirical_spectrum`` of ``y``, bit for bit, and the b used.
 
     b=None guesses 2x the top empirical eigenvalue (1.0 if 0), not a bound.
-    k is checked before any gram. At n <= d both read one n x n gram: the
+    k is checked before any gram; the callers check the rest: ``y`` is a
+    float64 matrix from ``sample`` or ``load_matrix_csv``, and a given b has
+    passed ``RecoveryConfig``. At n <= d both read one n x n gram: the
     baseline's eigenvalues are taken before the moment kernel overwrites it.
     """
-    y = _as_matrix(y, "data matrix")
     n, d = y.shape
     _validate_k(n, k_max)
     a = gram(y) if n <= d else None
@@ -136,6 +137,5 @@ def _estimate_and_baseline(y, k_max: int, b: float | None) -> tuple[np.ndarray, 
         b = 2.0 * float(empirical[-1]) or 1.0
         if not math.isfinite(b):
             raise NonFiniteError("top empirical eigenvalue overflowed the guess b = 2x top; pass --b")
-    RecoveryConfig(b=b, k_max=k_max)  # the check of b every estimate gets
     est = estimate_moments(y, k_max, b) if a is None else _gram_moments(a, d, k_max, b)
     return _spectrum(est, b), empirical, b

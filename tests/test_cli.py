@@ -10,6 +10,7 @@ import dataclasses
 import io
 import json
 import re
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -173,10 +174,12 @@ class TestSimulate:
         assert err.count("failed:") == err.count("exceeds sample count") == 4
 
     @pytest.mark.parametrize("ratio", ["1/2", "1", "2"])
-    def test_trial_files_match_the_library(self, tmp_path, monkeypatch, ratio):
+    @pytest.mark.parametrize("d", [64, 256])
+    def test_trial_files_match_the_library(self, tmp_path, monkeypatch, d, ratio):
         # An n <= d trial shares one gram between the estimate and the
         # baseline; its files and W1 columns must still be the library's on
-        # the same draw, as an n > d trial's are.
+        # the same draw, as an n > d trial's are. At d = 256 the moment
+        # kernel's 128-row tiles number one, two and four a side.
         draws = []
 
         def recorded(*args):
@@ -184,7 +187,7 @@ class TestSimulate:
             return draws[-1]
 
         monkeypatch.setattr("specest.cli.sample", recorded)
-        d, out = 64, tmp_path / "run"
+        out = tmp_path / "run"
         argv = ["simulate", "--family", "uniform_spectrum", "--d", str(d), "--n-ratio", ratio,
                 "--trials", "2", "--seed", "9", "--out", str(out)]
         assert main(argv) == 0
@@ -207,6 +210,23 @@ class TestSimulate:
                 assert (out / f"{stem}_{label}.csv").read_bytes() == ref.read_bytes(), label
             assert float(row[4]) == l1_sorted(expected["recovered"], true_vec) / d
             assert float(row[5]) == l1_sorted(expected["empirical"], true_vec) / d
+
+    def test_each_draw_is_freed_before_the_next(self, tmp_path, monkeypatch):
+        # A trial's sample lives only in _run_trial's frame, so no two
+        # samples are held at once, on either trial path.
+        draws = []
+
+        def watched(*args):
+            assert not draws or draws[-1]() is None, "the previous sample is still alive"
+            y = sample(*args)
+            draws.append(weakref.ref(y))
+            return y
+
+        monkeypatch.setattr("specest.cli.sample", watched)
+        argv = ["simulate", "--family", "uniform_spectrum", "--d", "32", "--n-ratio", "1/2",
+                "--n-ratio", "2", "--trials", "2", "--out", str(tmp_path / "run")]
+        assert main(argv) == 0
+        assert len(draws) == 4
 
     def test_summary_row_order(self, tmp_path):
         out = tmp_path / "run"
@@ -261,8 +281,11 @@ class TestSimulate:
         + [pytest.param("--seed", "-1", id="seed=-1")],
     )
     def test_bad_bound_or_seed_is_usage_error_before_any_trial(
-        self, tmp_path, capsys, option, value
+        self, tmp_path, monkeypatch, capsys, option, value
     ):
+        # _estimate_and_baseline trusts a given b, so the check must come
+        # before every gram as well as before --out.
+        grams = counted_grams(monkeypatch)
         out = tmp_path / "run"
         code = main(
             [
@@ -279,7 +302,7 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err.count("error:") == 1 and "failed" not in err
         assert not list(out.glob("cdf_*.csv"))
-        assert not out.exists()
+        assert not out.exists() and not grams
 
     def test_odd_two_spike_dimension_is_usage_error(self, tmp_path, capsys):
         out = tmp_path / "run"
@@ -545,14 +568,16 @@ class TestEstimate:
         assert captured.err.count("error:") == 1 and f"b={bound}" in captured.err
         assert captured.out == ""
 
-    @pytest.mark.parametrize("bound", ["inf", "nan"])
-    def test_non_finite_bound_is_usage_error(self, tmp_path, capsys, bound):
+    @pytest.mark.parametrize("bound", ["inf", "nan", "0", "-1"])
+    def test_bad_bound_is_usage_error_before_any_gram(self, tmp_path, monkeypatch, capsys, bound):
+        grams = counted_grams(monkeypatch)
         path = tmp_path / "y.csv"
         save_matrix_csv(path, np.random.default_rng(63).standard_normal((16, 8)))
         code = main(["estimate", str(path), "--b", bound, "--k", "5"])
         assert code == 2
         captured = capsys.readouterr()
-        assert "finite" in captured.err and captured.out == ""
+        assert captured.err.count("error:") == 1 and "positive and finite" in captured.err
+        assert captured.out == "" and not grams
 
     @pytest.mark.parametrize("bound", [[], ["--b", "2.0"]], ids=["guess", "given_b"])
     def test_k_above_sample_count(self, tmp_path, capsys, monkeypatch, bound):
