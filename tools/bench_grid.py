@@ -1,7 +1,7 @@
 """Per-stage timings of the spectrum estimator over a fixed (family, d, n) grid.
 
-    python tools/bench_grid.py                  # the seven cells -> BENCH_34.json
-    python tools/bench_grid.py --quick --out F  # one small cell, in about a second
+    python tools/bench_grid.py --out BENCH_34.json  # the seven cells
+    python tools/bench_grid.py --quick --out F      # one small cell, in about a second
 
 Each cell draws one Gaussian sample matrix from its covariance family and
 times eight stages on it: the draw (``synth.sample``), the n x n
@@ -18,9 +18,8 @@ median and quartiles of its times in ms.
 Each cell also records ``estimate_moments(y, 7, b)``, its largest
 relative gap to a plain H <- G H product reference (``reference_moments``),
 and W1/d of the whole estimate and of the empirical spectrum to the true
-spectrum. The tool writes its JSON, then
-exits 1 if a gap passes ``MOMENT_TOL``. ``--quick`` writes a file only
-when given ``--out``, so a smoke run leaves the recorded grid alone.
+spectrum. The tool writes its JSON to ``--out``, then
+exits 1 if a gap passes ``MOMENT_TOL``.
 
 ``bench/`` runs closed-loop workloads for a fixed time and judges a change
 by end-to-end op rates; this grid times the stages of one estimate in
@@ -58,6 +57,7 @@ CELLS = (
 QUICK_CELLS = (("two_spike", 256, 128),)
 
 REPEATS = 5  # timed calls per stage, after one warm-up
+SEED = 0  # first entropy word of every draw; the cell gives the rest
 MOMENT_TOL = 1e-12  # relative gap allowed between two product orders
 ENTRY = "gaussian"
 
@@ -98,7 +98,7 @@ def environment() -> dict:
     }
 
 
-def run_cell(family: str, d: int, n: int, seed: int) -> dict:
+def run_cell(family: str, d: int, n: int) -> dict:
     from specest import linalg, moments, recovery, synth
     from specest.wasserstein import l1_sorted
 
@@ -106,7 +106,7 @@ def run_cell(family: str, d: int, n: int, seed: int) -> dict:
     s = synth.factor(model)
     true = synth.true_spectrum(model)
     b = float(true[-1])
-    draw_seed = (seed, synth.FAMILIES.index(family), d, n)
+    draw_seed = (SEED, synth.FAMILIES.index(family), d, n)
     y = synth.sample(s, n, ENTRY, draw_seed)
 
     est = moments.estimate_moments(y, 7, b).values
@@ -170,20 +170,14 @@ def run_cell(family: str, d: int, n: int, seed: int) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true", help="one small cell instead of the grid")
-    parser.add_argument("--seed", type=int, default=0, help="first entropy word of every draw")
-    parser.add_argument(
-        "--out",
-        help="JSON file to write (default: BENCH_34.json at the repository root; "
-        "with --quick, none)",
-    )
+    parser.add_argument("--out", required=True, help="JSON file to write")
     args = parser.parse_args(argv)
-    out = args.out or (None if args.quick else str(ROOT / "BENCH_34.json"))
     sys.path.insert(0, str(ROOT / "src"))
 
     start = time.perf_counter()
     cells = []
     for family, d, n in QUICK_CELLS if args.quick else CELLS:
-        cell = run_cell(family, d, n, args.seed)
+        cell = run_cell(family, d, n)
         cells.append(cell)
         medians = " ".join(f"{v['median_ms']:.1f}" for v in cell["stages"].values())
         print(f"{family} d={d} n={n}: gap {cell['moment_gap_k7']:.1e}, ms {medians}", flush=True)
@@ -195,11 +189,10 @@ def main(argv=None) -> int:
         "wall_s": time.perf_counter() - start,
         "cells": cells,
     }
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=1)
-            fh.write("\n")
-    print(f"{len(cells)} cells in {report['wall_s']:.1f} s" + (f", written to {out}" if out else ""))
+    with open(args.out, "w", encoding="utf-8") as fh:
+        json.dump(report, fh, indent=1)
+        fh.write("\n")
+    print(f"{len(cells)} cells in {report['wall_s']:.1f} s, written to {args.out}")
     bad = [c for c in cells if not c["moment_gap_k7"] <= MOMENT_TOL]
     for c in bad:
         print(
