@@ -189,8 +189,6 @@ def _validate_k(n: int, k: int) -> None:
         raise ValueError(f"moment order k={k} exceeds sample count n={n}")
 
 
-# Overflow is checked for at the end and raised as NonFiniteError.
-@np.errstate(over="ignore", invalid="ignore")
 def estimate_moments(y, k_max: int, b: float = 1.0) -> MomentEstimate:
     """Estimate spectral moments 1..k_max of the b-rescaled covariance.
 

@@ -2,7 +2,10 @@
 
 None of this is part of the library: the exhaustive cycle enumeration,
 the dense product traces, ``strict_upper``, the plug-in moment baseline
-and the Monte-Carlo variance loop check the estimator; ``covariance``
+and the Monte-Carlo variance loop check the estimator. The dense product
+traces (``product_traces``, through ``moment_references``) and the gap
+rule (``moment_gap_ratios``) also check the kernel in
+``tools/bench_grid.py``, which puts this directory on its path; ``covariance``
 builds the model matrix that the synthetic factors are checked against;
 ``from_sorted_vector`` checks the W1 identities; ``chebyshev_spectra``
 feeds the lower-bound pair to the estimator; the mesh LP's
@@ -110,7 +113,8 @@ def product_traces(a, k_max: int) -> np.ndarray:
     """tr(G^(k-1) A) for k = 1..k_max, G = strict upper triangle of ``a``.
 
     Dense reference for the cycle-trace kernel: the products are taken
-    as H <- G H from H = A, and each trace read off the diagonal.
+    as H <- G H from H = A, and each trace read off the diagonal. ``a``
+    is left as it was.
     """
     a = np.asarray(a, dtype=float)
     g = np.triu(a, 1)
@@ -120,6 +124,31 @@ def product_traces(a, k_max: int) -> np.ndarray:
         h = g @ h
         traces.append(np.trace(h))
     return np.array(traces)
+
+
+def moment_references(a, d: int, k_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Plain-product moments ref_k and their rounding scale S_k, k = 1..k_max.
+
+    ``a`` is the b-scaled n x n gram of d-dimensional samples. ref_k is
+    tr(G^(k-1) A) / (d C(n, k)), the quantity ``estimate_moments`` returns,
+    and S_k the same trace taken on |a|: the average absolute cycle
+    product, to which the rounding error of either product order is
+    proportional.
+    """
+    denom = d * np.array([float(math.comb(a.shape[0], k)) for k in range(1, k_max + 1)])
+    return product_traces(a, k_max) / denom, product_traces(np.abs(a), k_max) / denom
+
+
+def moment_gap_ratios(est, ref, scale) -> np.ndarray:
+    """Gap of each estimated moment to its reference, over the gap it is allowed.
+
+    Moment k passes (ratio <= 1) when |est_k - ref_k| <= 1e-12 |ref_k| +
+    1e-15 S_k, with ref_k and S_k from ``moment_references``. 1e-15 is
+    about 4.5 units of roundoff. Where S_k is close to |ref_k|, as always
+    at k = 1 and 2, the limit stays 1e-12 relative; it loosens only for a
+    moment that is a near-cancelling sum of cycle products.
+    """
+    return np.abs(est - ref) / (1e-12 * np.abs(ref) + 1e-15 * scale)
 
 
 def covariance(model: CovarianceModel) -> np.ndarray:

@@ -15,12 +15,14 @@ import pytest
 from specest import moments
 from specest.linalg import NonFiniteError, gram
 from specest.moments import MomentEstimate, estimate_moments
-from specest.synth import CovarianceModel, factor, sample
+from specest.synth import CovarianceModel, factor, sample, true_spectrum
 
 from helpers import (
     ResourceLimitError,
     brute_force_increasing,
     empirical_moment,
+    moment_gap_ratios,
+    moment_references,
     monte_carlo_variance,
     product_traces,
 )
@@ -250,6 +252,27 @@ class TestCycleTraceKernel:
         for k_max in (5, 7):
             got = moments._cycle_traces(a.copy(), k_max)
             np.testing.assert_allclose(got, ref[:k_max], rtol=1e-12, atol=0)
+
+    def test_gap_rule_on_a_near_cancelling_moment(self):
+        # The per-stage grid's two_spike 4096 x 256 draw: its fifth moment
+        # is a sum of cycle products whose absolute values add up to over a
+        # million times it, so a relative gap there measures the rounding of
+        # the sum, not the kernel. The rule scales by that sum; a 1e-10
+        # relative shift of a well-conditioned moment still fails it.
+        model = CovarianceModel("two_spike", 4096)
+        b = float(true_spectrum(model)[-1])
+        y = sample(factor(model), 256, "gaussian", (0, 1, 4096, 256))
+        est = estimate_moments(y, 7, b).values
+        a = gram(y) / b
+        a_before = a.copy()
+        ref, scale = moment_references(a, 4096, 7)
+        np.testing.assert_array_equal(a, a_before)
+        assert scale[4] / abs(ref[4]) > 1e6
+        assert (moment_gap_ratios(est, ref, scale) <= 1).all()
+        for k in (1, 2, 3):
+            shifted = est.copy()
+            shifted[k - 1] *= 1 + 1e-10
+            assert moment_gap_ratios(shifted, ref, scale)[k - 1] > 1, k
 
     @staticmethod
     def peak_bytes(y, k_max):
