@@ -1,11 +1,13 @@
 """Reference implementations and utilities that only the tests use.
 
 None of this is part of the library: the exhaustive cycle enumeration,
-the dense product traces, ``strict_upper``, the plug-in moment baseline
-and the Monte-Carlo variance loop check the estimator. The dense product
-traces (``product_traces``, through ``moment_references``) and the gap
-rule (``moment_gap_ratios``) also check the kernel in
-``tools/bench_grid.py``, which puts this directory on its path; ``covariance``
+the dense product traces, the plug-in moment baseline and the Monte-Carlo
+variance loop check the estimator. The dense product traces
+(``product_traces``, through ``moment_references``) and the gap rule
+(``moment_gap_ratios``) also check the kernel in ``tools/bench_grid.py``,
+which puts this directory on its path; ``environment`` is the one record
+of the host that the golden digests' empirical parts and the grid's
+timings are read against; ``covariance``
 builds the model matrix that the synthetic factors are checked against;
 ``from_sorted_vector`` checks the W1 identities; ``chebyshev_spectra``
 feeds the lower-bound pair to the estimator; the mesh LP's
@@ -19,6 +21,8 @@ from __future__ import annotations
 
 import csv
 import math
+import os
+import platform
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -34,6 +38,7 @@ from specest.wasserstein import PointMassDistribution
 # Exhaustive cycle enumeration is quadratic-to-exponential in disguise;
 # refuse anything past this many tuples.
 MAX_BRUTE_FORCE_CYCLES = 10**6
+THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 class ResourceLimitError(RuntimeError):
@@ -96,19 +101,6 @@ def brute_force_increasing(a, k: int, *, max_cycles: int = MAX_BRUTE_FORCE_CYCLE
     return total / count
 
 
-def _require_square(a, name: str = "matrix") -> np.ndarray:
-    arr = _as_matrix(a, name)
-    if arr.shape[0] != arr.shape[1]:
-        raise ValueError(f"{name} must be square, got shape {arr.shape}")
-    return arr
-
-
-def strict_upper(a) -> np.ndarray:
-    """Copy of ``a`` with the diagonal and lower triangle zeroed."""
-    arr = _require_square(a)
-    return np.triu(arr, k=1)
-
-
 def product_traces(a, k_max: int) -> np.ndarray:
     """tr(G^(k-1) A) for k = 1..k_max, G = strict upper triangle of ``a``.
 
@@ -149,6 +141,37 @@ def moment_gap_ratios(est, ref, scale) -> np.ndarray:
     moment that is a near-cancelling sum of cycle products.
     """
     return np.abs(est - ref) / (1e-12 * np.abs(ref) + 1e-15 * scale)
+
+
+def environment() -> dict:
+    """What the BLAS-dependent bits and the timings depend on besides the code.
+
+    A field the installed numpy cannot report reads "unknown": numpy before
+    1.26 has no ``show_config(mode="dicts")``, and before 2.0 no
+    ``numpy._core``.
+    """
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy < 1.26 prints its config and returns None
+        blas = {}
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+
+        features = sorted(name for name, found in __cpu_features__.items() if found)
+    except ImportError:
+        features = "unknown"
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    threads = [f"{var}={os.environ.get(var, 'unset')}" for var in THREAD_VARIABLES]
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": f"{blas['name']} {blas['version']}" if blas else "unknown",
+        "blas_config": blas.get("openblas configuration", "unknown"),
+        "blas_threads": ", ".join(threads + [f"{cpus} CPUs"]),
+        # OpenBLAS reads this at load time to force kernels for another CPU.
+        "blas_coretype": os.environ.get("OPENBLAS_CORETYPE", "unset"),
+        "cpu_features": features,
+    }
 
 
 def covariance(model: CovarianceModel) -> np.ndarray:

@@ -12,10 +12,11 @@ covers the empirical CDF files and the ``w1_empirical`` column.
 
 The empirical spectrum's last bits come from the BLAS: they depend on
 numpy, the BLAS, the BLAS thread count and the CPU the BLAS picks its
-kernels for, so the file records that environment, and the two empirical
-parts skip in any other. The other 47 cases run everywhere. The report's
-moment differences are exact sums (``chebyshev.moments_of``), a draw with
-a diagonal factor scales its entries without the BLAS, and an estimate is
+kernels for, so the file records that environment (``helpers.environment``),
+and the two empirical parts skip where a recorded field differs. The other
+47 cases run everywhere. The report's moment differences are exact sums
+(``chebyshev.moments_of``), a draw with a diagonal factor scales its
+entries without the BLAS, and an estimate is
 a vector of mesh points times b, where the rounding the BLAS adds to the
 gram and the moment kernel rarely moves a quantile to another mesh point.
 All 47 portable cases held under OpenBLAS's Haswell, Nehalem and
@@ -38,20 +39,19 @@ import csv
 import hashlib
 import io
 import json
-import os
 import tempfile
 from functools import partial
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from specest.cli import main
 from specest.recovery import RecoveryConfig, estimate_spectrum
 from specest.synth import ENTRY_KINDS, CovarianceModel, factor, sample, true_spectrum
 
+from helpers import environment
+
 DIGEST_FILE = Path(__file__).with_name("golden_digests.json")
-THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 
 # (family, d, n, seed): n = 512 and n = 256 run the moment kernel on tiles
 # of 128, n = 64 on one tile.
@@ -71,28 +71,8 @@ DRAW_CASES = [("uniform_spectrum", 64, 16, 7)]
 SIMULATE_CASES = [("uniform_spectrum", 64, 5), ("toeplitz", 32, 6)]
 
 
-def environment() -> dict:
-    """What the digests' bits depend on besides the code."""
-    from numpy._core._multiarray_umath import __cpu_features__
-
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    threads = [f"{var}={os.environ.get(var, 'unset')}" for var in THREAD_VARIABLES]
-    return {
-        "numpy": np.__version__,
-        "blas": f"{blas['name']} {blas['version']}",
-        "blas_threads": ", ".join(threads + [f"{cpus} CPUs"]),
-        # OpenBLAS reads this at load time to force kernels for another CPU.
-        "blas_coretype": os.environ.get("OPENBLAS_CORETYPE", "unset"),
-        "cpu_features": sorted(name for name, found in __cpu_features__.items() if found),
-    }
-
-
 def _differences(expected: dict) -> list[str]:
     """The keys of a recorded environment that differ from this one."""
-    # Only the recorded numpy is known to offer the introspection environment() uses.
-    if np.__version__ != expected["numpy"]:
-        return ["numpy"]
     here = environment()
     return [key for key, value in expected.items() if value != here.get(key)]
 

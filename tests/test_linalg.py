@@ -10,7 +10,7 @@ from specest.linalg import (
     load_matrix_csv,
 )
 
-from helpers import save_matrix_csv, strict_upper
+from helpers import save_matrix_csv
 
 
 class TestGram:
@@ -62,29 +62,6 @@ class TestGram:
     def test_rejects_1d(self):
         with pytest.raises(ValueError):
             gram(np.ones(4))
-
-
-class TestStrictUpper:
-    def test_zeroes_diagonal_and_lower(self):
-        rng = np.random.default_rng(9)
-        a = rng.standard_normal((6, 6))
-        g = strict_upper(a)
-        for i in range(6):
-            for j in range(6):
-                if j > i:
-                    assert g[i, j] == a[i, j]
-                else:
-                    assert g[i, j] == 0.0
-
-    def test_is_copy(self):
-        a = np.ones((3, 3))
-        g = strict_upper(a)
-        g[0, 1] = 99.0
-        assert a[0, 1] == 1.0
-
-    def test_rejects_rectangular(self):
-        with pytest.raises(ValueError):
-            strict_upper(np.ones((2, 3)))
 
 
 class TestEmpiricalSpectrum:

@@ -209,6 +209,20 @@ class TestCycleTraceKernel:
             got = estimate_moments(y, k_max, b).values
             np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("n", [1, 2, 3, 127, 128, 129, 300, 700])
+    def test_reads_only_the_upper_triangle(self, n):
+        # The kernel keeps transposed powers in the strict lower triangle,
+        # so it may read only the diagonal and the upper triangle. At n <= d
+        # _estimate_and_baseline relies on that order: the baseline's
+        # eigvalsh reads the lower triangle before the kernel writes there.
+        a = gram(np.random.default_rng(50 + n).standard_normal((n, 32)))
+        torn = a.copy()
+        torn[np.tril_indices(n, -1)] = np.nan
+        for k_max in range(1, min(n, 9) + 1):
+            got = moments._cycle_traces(torn.copy(), k_max)
+            np.testing.assert_array_equal(got, moments._cycle_traces(a.copy(), k_max))
+
     def test_tile_edge_by_n(self):
         # 128 is the faster edge from n = 129 (two tiles) to 2047; n <= 128
         # is one tile whatever the edge, and from n = 2048 tiles of 256 win.

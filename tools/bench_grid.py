@@ -20,24 +20,23 @@ relative gap to the plain H <- G H product reference of the tests
 (``helpers.moment_references``), its largest gap over the allowance of
 ``helpers.moment_gap_ratios`` (|est_k - ref_k| <= 1e-12 |ref_k| + 1e-15 S_k,
 S_k the average absolute cycle product), and W1/d of the whole estimate
-and of the empirical spectrum to the true spectrum. The tool writes its
-JSON to ``--out``, then exits 1 if a moment's gap passes its allowance
-(a ratio above 1).
+and of the empirical spectrum to the true spectrum. The file's
+``environment`` is ``helpers.environment()``, the record the golden
+digests are read against. The tool writes its JSON to ``--out``, then
+exits 1 if a moment's gap passes its allowance (a ratio above 1).
 
 ``bench/`` runs closed-loop workloads for a fixed time and judges a change
 by end-to-end op rates; this grid times the stages of one estimate in
 isolation, at shapes no benchmark workload runs (n far below d, and
 n >= 4d). It imports ``specest`` from this checkout's ``src/``, the
-reference and the gap rule from ``tests/helpers.py``, and nothing from
-``bench/``.
+reference, the gap rule and the environment record from
+``tests/helpers.py``, and nothing from ``bench/``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
-import platform
 import statistics
 import sys
 import time
@@ -62,23 +61,6 @@ QUICK_CELLS = (("two_spike", 256, 128),)
 REPEATS = 5  # timed calls per stage, after one warm-up
 SEED = 0  # first entropy word of every draw; the cell gives the rest
 ENTRY = "gaussian"
-
-
-def environment() -> dict:
-    """What the timings depend on besides the code."""
-    try:
-        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-        blas_text = f"{blas['name']} {blas['version']}: {blas.get('openblas configuration', '')}"
-    except (TypeError, KeyError):  # numpy < 1.26 prints its config and returns None
-        blas_text = "unknown"
-    return {
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "blas": blas_text.strip(": "),
-        "cpu_count": os.cpu_count(),
-        "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
-        "OPENBLAS_CORETYPE": os.environ.get("OPENBLAS_CORETYPE"),
-    }
 
 
 def run_cell(family: str, d: int, n: int) -> dict:
@@ -159,6 +141,7 @@ def main(argv=None) -> int:
     parser.add_argument("--out", required=True, help="JSON file to write")
     args = parser.parse_args(argv)
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+    from helpers import environment
 
     start = time.perf_counter()
     cells = []
