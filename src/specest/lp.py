@@ -10,13 +10,12 @@ finds masses p on the mesh minimizing
 Splitting each absolute residual into nonnegative parts u_i - v_i turns
 this into a standard-form LP with k + 1 equality rows and t + 2k
 variables, small enough that a dense revised simplex with explicit
-basis solves is both fast and easy to keep deterministic. It prices by
-Dantzig's rule with lowest-index ties for the first 10 * (t + 2k)
-iterations, then by Bland's rule, which cannot cycle. "Optimal" means no
-reduced cost is below -1e-9 * (1 + max|y|), y the simplex multipliers. With
-the variance-scaled weights the high moments sit near that scale, so the
-stop leaves part of their noise unfitted: the tolerance acts as a
-regulariser, and estimates at 1e-14 are worse on average
+basis solves is both fast and easy to keep deterministic. That simplex is
+``_simplex``, the one pivot loop in the package, and its docstring states
+the pricing rule, the stop and the cap. With the variance-scaled weights
+the high moments sit near the stop's tolerance, so the stop leaves part
+of their noise unfitted: the tolerance acts as a regulariser, and
+estimates at 1e-14 are worse on average
 (tests/test_recovery.py::TestOptimalityTolerance).
 
 Every mass on the increasing mesh x >= 0 has its i-th moment between
@@ -53,11 +52,8 @@ def _moment_powers(points: np.ndarray, k: int) -> np.ndarray:
 class SimplexSolution:
     """Result of one LP solve.
 
-    ``status`` is "optimal" when no reduced cost is below -1e-9 * (1 + max|y|),
-    a tolerance stop that acts as a regulariser (see the module docstring), or
-    when the entering column has no direction entry above the pivot floor and
-    a reduced cost above -1e-6 (rounding noise). It is "iteration-limit" when
-    the simplex hit its private cap of 20 * (t + 2k) + 5000 pivots; the masses
+    ``status`` ("optimal" or "iteration-limit") and ``iterations`` (the
+    pivots taken) are those of ``_simplex``, which defines both. The masses
     are feasible either way.
     """
 
@@ -67,57 +63,32 @@ class SimplexSolution:
     iterations: int
 
 
-def solve(mesh, target, weights) -> SimplexSolution:
-    """Minimize the weighted L1 moment mismatch over the mass simplex.
+def _simplex(
+    a: np.ndarray, rhs: np.ndarray, cost: np.ndarray, basis: np.ndarray
+) -> tuple[np.ndarray, str, int]:
+    """Minimise cost @ z subject to a @ z = rhs, z >= 0, from a feasible basis.
 
-    The arrays are the x, a and w of the module docstring; x must be >= 0.
+    ``basis`` holds one column index per row of ``a``, with nonnegative
+    basic values. Overwrites ``basis`` with the final basis, from which a
+    later call on the same LP can start. Returns z (the final basic values
+    clipped at 0, zeros elsewhere), the status and the number of pivots.
 
-    Revised simplex on the split-residual reformulation. Pivoting is
-    deterministic: Dantzig pricing with lowest-index tie-breaking for the
-    first 10 * (t + 2k) iterations, then Bland's rule, which cannot cycle.
+    Each pivot solves with the basis three times from scratch, for the
+    basic values, the multipliers y and the entering direction. With n
+    columns it prices by Dantzig's rule (the most negative reduced cost,
+    lowest index among ties) for the first 10 * n pivots, then by Bland's
+    (the lowest improving index), which cannot cycle. The ratio test skips
+    direction entries at or below 1e-10 and, among ratios tied to a
+    relative 1e-12, drops the basic variable with the smallest index.
+
+    The status is "optimal" once no reduced cost is below
+    -1e-9 * (1 + max|y|), or when no direction entry is above 1e-10 and the
+    entering reduced cost is above -1e-6 (rounding noise). It is
+    "iteration-limit" after 20 * n + 5000 pivots; z is feasible either way.
+    The objective must be bounded below: a singular basis, or no direction
+    entry above 1e-10 at a reduced cost below -1e-6, raises ArithmeticError.
     """
-    mesh = np.asarray(mesh, dtype=float)
-    target = np.asarray(target, dtype=float)
-    weights = np.asarray(weights, dtype=float)
-    if mesh.ndim != 1 or mesh.size < 1:
-        raise ValueError("mesh must be a non-empty 1-d array")
-    if not np.isfinite(mesh).all() or (mesh < 0).any():
-        raise ValueError("mesh points must be finite and nonnegative")
-    if (np.diff(mesh) <= 0).any():
-        raise ValueError("mesh must be strictly increasing")
-    if target.ndim != 1 or target.size < 1 or not np.isfinite(target).all():
-        raise ValueError("target must be a non-empty finite 1-d array")
-    if weights.shape != target.shape:
-        raise ValueError("weights must match target in shape")
-    if not np.isfinite(weights).all() or (weights <= 0).any():
-        raise ValueError("weights must be finite and strictly positive")
-    k, t = target.size, mesh.size
-    n_cols = t + 2 * k
-    m = k + 1
-
-    # Standard form columns: [p (t) | u (k) | v (k)], rows: k moment
-    # constraints then the unit-mass constraint.
-    a = np.zeros((m, n_cols))
-    v = a[:k, :t]  # the moment rows: row i is mesh**(i+1)
-    v[:] = _moment_powers(mesh, k).T
-    # The clipped target of the module docstring.
-    goal = np.clip(target, v[:, 0], v[:, -1])
-    a[:k, t : t + k] = -np.eye(k)
-    a[:k, t + k :] = np.eye(k)
-    a[k, :t] = 1.0
-    rhs = np.append(goal, 1.0)
-    # Normalized costs keep pivot decisions invariant under weight scaling.
-    w_scale = float(weights.max())
-    cost = np.concatenate([np.zeros(t), weights, weights]) / w_scale
-
-    # Crash basis: all mass on the first mesh point, residuals absorbed by
-    # whichever of u_i / v_i is nonnegative. The basis matrix is triangular,
-    # +-1 on the diagonal and x_1^i above the unit mass, so its determinant is +-1.
-    residual0 = v[:, 0] - goal
-    basis = np.empty(m, dtype=int)
-    basis[:k] = np.where(residual0 >= 0, t + np.arange(k), t + k + np.arange(k))
-    basis[k] = 0
-
+    m, n_cols = a.shape
     status = "iteration-limit"
     iterations = 0
 
@@ -125,8 +96,8 @@ def solve(mesh, target, weights) -> SimplexSolution:
         b_mat = a[:, basis]
         try:
             xb = np.linalg.solve(b_mat, rhs)
-            # Stop only after solving, so the masses below always come
-            # from the final basis, also when the limit cuts the solve.
+            # Stop only after solving, so the z below always comes from
+            # the final basis, also when the limit cuts the solve.
             if iterations >= 2 * _BLAND_AFTER * n_cols + _CAP_EXTRA:
                 break
             y = np.linalg.solve(b_mat.T, cost[basis])
@@ -146,9 +117,9 @@ def solve(mesh, target, weights) -> SimplexSolution:
         direction = np.linalg.solve(b_mat, a[:, entering])
         positive = direction > _PIV_TOL
         if not positive.any():
-            # The objective is bounded below by zero, so a genuinely
-            # unbounded ray cannot exist; a weakly negative reduced cost
-            # with no positive direction entry is rounding noise.
+            # With the objective bounded below, a genuinely unbounded ray
+            # cannot exist; a weakly negative reduced cost with no positive
+            # direction entry is rounding noise.
             if reduced[entering] < -1e-6:
                 raise ArithmeticError("simplex lost feasibility (unbounded direction)")
             status = "optimal"
@@ -164,9 +135,59 @@ def solve(mesh, target, weights) -> SimplexSolution:
         basis[leaving] = entering
         iterations += 1
 
-    # Assemble the full variable vector from the final basis.
     z = np.zeros(n_cols)
     z[basis] = np.maximum(xb, 0.0)
+    return z, status, iterations
+
+
+def solve(mesh, target, weights) -> SimplexSolution:
+    """Minimize the weighted L1 moment mismatch over the mass simplex.
+
+    The arrays are the x, a and w of the module docstring; x must be >= 0.
+    Builds the split-residual standard form and its crash basis, and pivots
+    it with ``_simplex``.
+    """
+    mesh = np.asarray(mesh, dtype=float)
+    target = np.asarray(target, dtype=float)
+    weights = np.asarray(weights, dtype=float)
+    if mesh.ndim != 1 or mesh.size < 1:
+        raise ValueError("mesh must be a non-empty 1-d array")
+    if not np.isfinite(mesh).all() or (mesh < 0).any():
+        raise ValueError("mesh points must be finite and nonnegative")
+    if (np.diff(mesh) <= 0).any():
+        raise ValueError("mesh must be strictly increasing")
+    if target.ndim != 1 or target.size < 1 or not np.isfinite(target).all():
+        raise ValueError("target must be a non-empty finite 1-d array")
+    if weights.shape != target.shape:
+        raise ValueError("weights must match target in shape")
+    if not np.isfinite(weights).all() or (weights <= 0).any():
+        raise ValueError("weights must be finite and strictly positive")
+    k, t = target.size, mesh.size
+
+    # Standard form columns: [p (t) | u (k) | v (k)], rows: k moment
+    # constraints then the unit-mass constraint.
+    a = np.zeros((k + 1, t + 2 * k))
+    v = a[:k, :t]  # the moment rows: row i is mesh**(i+1)
+    v[:] = _moment_powers(mesh, k).T
+    # The clipped target of the module docstring.
+    goal = np.clip(target, v[:, 0], v[:, -1])
+    a[:k, t : t + k] = -np.eye(k)
+    a[:k, t + k :] = np.eye(k)
+    a[k, :t] = 1.0
+    rhs = np.append(goal, 1.0)
+    # Normalized costs keep pivot decisions invariant under weight scaling.
+    w_scale = float(weights.max())
+    cost = np.concatenate([np.zeros(t), weights, weights]) / w_scale
+
+    # Crash basis: all mass on the first mesh point, residuals absorbed by
+    # whichever of u_i / v_i is nonnegative. The basis matrix is triangular,
+    # +-1 on the diagonal and x_1^i above the unit mass, so its determinant is +-1.
+    residual0 = v[:, 0] - goal
+    basis = np.empty(k + 1, dtype=int)
+    basis[:k] = np.where(residual0 >= 0, t + np.arange(k), t + k + np.arange(k))
+    basis[k] = 0
+
+    z, status, iterations = _simplex(a, rhs, cost, basis)
     masses = z[:t].copy()
     return SimplexSolution(
         masses=masses,

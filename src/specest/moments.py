@@ -96,7 +96,7 @@ def _tile_edge(n: int) -> int:
 
 
 def _cycle_traces(a: np.ndarray, k_max: int) -> np.ndarray:
-    """tr(G^(k-1) A) for k = 1..k_max, where G = strict_upper(a).
+    """tr(G^(k-1) A) for k = 1..k_max, G the strict upper triangle of a.
 
     Overwrites ``a``: past the trace of A, its strict upper triangle holds
     G. With h = k_max // 2, the traces for k = 2..h come from

@@ -14,7 +14,7 @@ import pytest
 from scipy.optimize import linprog
 
 from specest import lp
-from specest.lp import SimplexSolution, _moment_powers, solve
+from specest.lp import SimplexSolution, _moment_powers, _simplex, solve
 from specest.moments import estimate_moments
 from specest.recovery import RecoveryConfig, default_weights, recover_distribution
 from specest.synth import CovarianceModel, factor, sample
@@ -268,6 +268,53 @@ class TestIterationControl:
             assert_feasible(sol)
         # Cut at the optimal basis, the masses are those of the full solve.
         np.testing.assert_array_equal(sol.masses, full.masses)
+
+
+class TestSimplexEngine:
+    """``_simplex`` on standard-form LPs other than the moment fit."""
+
+    def test_packing_lps_from_the_slack_basis(self):
+        # a = [B | I] with B >= 0 and rhs >= 0 (zeros make degenerate
+        # vertices), so the slack basis is feasible and, with cost >= 0,
+        # the objective is bounded below by 0.
+        rng = np.random.default_rng(51)
+        pivots = 0
+        for _ in range(200):
+            m, n = int(rng.integers(1, 9)), int(rng.integers(1, 31))
+            b = rng.uniform(0.0, 1.0, (m, n)) * (rng.uniform(size=(m, n)) < 0.7)
+            a = np.hstack([b, np.eye(m)])
+            rhs = rng.uniform(0.0, 1.0, m) * (rng.uniform(size=m) < 0.7)
+            cost = rng.uniform(0.0, 1.0, n + m)
+            basis = np.arange(n, n + m)
+            z, status, iterations = _simplex(a, rhs, cost, basis)
+            assert status == "optimal"
+            assert (z >= 0).all()
+            np.testing.assert_allclose(a @ z, rhs, rtol=0, atol=1e-9)
+            ref = linprog(cost, A_eq=a, b_eq=rhs, method="highs")
+            assert ref.status == 0
+            assert cost @ z == pytest.approx(ref.fun, abs=1e-9)
+            pivots += iterations
+        assert pivots > 0
+
+    def test_warm_start_from_the_returned_basis(self, two_spike_fit, monkeypatch):
+        # Capture the LP and final basis of a recovery fit, then pivot it
+        # again from that basis: nothing is left to improve.
+        calls = []
+
+        def recording(a, rhs, cost, basis):
+            out = _simplex(a, rhs, cost, basis)
+            calls.append((a, rhs, cost, basis.copy(), out))
+            return out
+
+        monkeypatch.setattr(lp, "_simplex", recording)
+        solve(*two_spike_fit)
+        ((a, rhs, cost, basis, (z, status, iterations)),) = calls
+        assert status == "optimal" and iterations > 0
+        warm_basis = basis.copy()
+        z_warm, status_warm, iterations_warm = _simplex(a, rhs, cost, warm_basis)
+        assert (status_warm, iterations_warm) == ("optimal", 0)
+        np.testing.assert_array_equal(z_warm, z)
+        np.testing.assert_array_equal(warm_basis, basis)
 
 
 class TestNumericalFallbacks:
