@@ -164,28 +164,20 @@ def solve(mesh, target, weights) -> SimplexSolution:
         raise ValueError("weights must be finite and strictly positive")
     k, t = target.size, mesh.size
 
-    # Standard form columns: [p (t) | u (k) | v (k)], rows: k moment
-    # constraints then the unit-mass constraint.
-    a = np.zeros((k + 1, t + 2 * k))
+    # Standard form [V -I I; 1' 0 0]: columns [p (t) | u (k) | v (k)], rows
+    # the k moment constraints then the unit-mass constraint.
+    eye, zeros = np.eye(k), np.zeros((1, k))
+    a = np.block([[_moment_powers(mesh, k).T, -eye, eye], [np.ones((1, t)), zeros, zeros]])
     v = a[:k, :t]  # the moment rows: row i is mesh**(i+1)
-    v[:] = _moment_powers(mesh, k).T
     # The clipped target of the module docstring.
     goal = np.clip(target, v[:, 0], v[:, -1])
-    a[:k, t : t + k] = -np.eye(k)
-    a[:k, t + k :] = np.eye(k)
-    a[k, :t] = 1.0
     rhs = np.append(goal, 1.0)
     # Normalized costs keep pivot decisions invariant under weight scaling.
-    w_scale = float(weights.max())
-    cost = np.concatenate([np.zeros(t), weights, weights]) / w_scale
-
+    cost = np.concatenate([np.zeros(t), weights, weights]) / weights.max()
     # Crash basis: all mass on the first mesh point, residuals absorbed by
     # whichever of u_i / v_i is nonnegative. The basis matrix is triangular,
     # +-1 on the diagonal and x_1^i above the unit mass, so its determinant is +-1.
-    residual0 = v[:, 0] - goal
-    basis = np.empty(k + 1, dtype=int)
-    basis[:k] = np.where(residual0 >= 0, t + np.arange(k), t + k + np.arange(k))
-    basis[k] = 0
+    basis = np.append(np.where(v[:, 0] >= goal, t, t + k) + np.arange(k), 0)
 
     z, status, iterations = _simplex(a, rhs, cost, basis)
     masses = z[:t].copy()

@@ -19,6 +19,6 @@ def test_quick_cell_times_every_stage_and_records_the_environment(tmp_path, monk
     out = tmp_path / "grid.json"
     assert grid.main(["--quick", "--out", str(out)]) == 0
     report = json.loads(out.read_text(encoding="utf-8"))
-    assert len(report["stages"]) == 8
+    assert len(report["stages"]) == 9
     assert all(list(cell["stages"]) == report["stages"] for cell in report["cells"])
     assert report["environment"] == environment()

@@ -38,12 +38,21 @@ def scipy_objective(mesh, target, weights):
 
 
 def random_problem(rng, t_max=6, k_max=3):
-    """A random (mesh, target, weights) with t <= t_max and k <= k_max."""
+    """A random (mesh, target, weights) with t <= t_max and k <= k_max.
+
+    The mesh is t sorted draws from [1e-3, 1), so it is strictly increasing
+    unless two draws coincide.
+    """
     t = int(rng.integers(2, t_max + 1))
     k = int(rng.integers(1, k_max + 1))
-    mesh = np.sort(rng.uniform(0.0, 1.0, t))
-    mesh[0] = max(mesh[0], 1e-3)
+    mesh = np.sort(rng.uniform(1e-3, 1.0, t))
     return mesh, rng.uniform(-0.2, 1.0, k), rng.uniform(0.2, 1.0, k)
+
+
+def test_random_meshes_are_strictly_increasing():
+    for seed in range(20_000):
+        mesh, _, _ = random_problem(np.random.default_rng(seed), t_max=40)
+        assert (np.diff(mesh) > 0).all() and mesh[0] >= 1e-3, seed
 
 
 @pytest.mark.parametrize("t", [50, 65, 300, 4001])
@@ -268,6 +277,41 @@ class TestIterationControl:
             assert_feasible(sol)
         # Cut at the optimal basis, the masses are those of the full solve.
         np.testing.assert_array_equal(sol.masses, full.masses)
+
+
+class TestStandardForm:
+    """The LP that ``solve`` hands to ``_simplex``, against ``helpers.lp_standard_form``."""
+
+    def test_matrix_cost_rhs_and_crash_basis(self, monkeypatch):
+        calls = []
+
+        def recording(a, rhs, cost, basis):
+            calls.append((a.copy(), rhs.copy(), cost.copy(), basis.copy()))
+            return _simplex(a, rhs, cost, basis)
+
+        monkeypatch.setattr(lp, "_simplex", recording)
+        rng = np.random.default_rng(52)
+        for i in range(200):
+            mesh, target, _ = random_problem(rng, t_max=40, k_max=7)
+            k, t = target.size, mesh.size
+            # Weights spanning up to 17 orders of magnitude; every other
+            # target far outside the mesh's moment range, so it is clipped.
+            weights = np.exp(-rng.uniform(0.0, 40.0, k))
+            if i % 2:
+                target = rng.uniform(-1e3, 1e3, k)
+            solve(mesh, target, weights)
+            a, rhs, cost, basis = calls.pop()
+            ref_a, _, ref_cost = lp_standard_form(mesh, target, weights)
+            np.testing.assert_array_equal(a, ref_a)
+            np.testing.assert_array_equal(cost, ref_cost / weights.max())
+            powers = moment_matrix(mesh, k)
+            goal = np.clip(target, powers[:, 0], powers[:, -1])
+            np.testing.assert_array_equal(rhs, np.append(goal, 1.0))
+            # u_i absorbs a nonnegative x_1^i - goal_i, else v_i; the
+            # unit-mass row is basic in column 0.
+            u = np.arange(t, t + k)
+            crash = np.append(np.where(powers[:, 0] >= goal, u, u + k), 0)
+            np.testing.assert_array_equal(basis, crash)
 
 
 class TestSimplexEngine:

@@ -4,16 +4,18 @@
     python tools/bench_grid.py --quick --out F      # one small cell, in about a second
 
 Each cell draws one Gaussian sample matrix from its covariance family and
-times eight stages on it: the draw (``synth.sample``), the n x n
+times nine stages on it: the draw (``synth.sample``), the n x n
 ``linalg.gram``, the cycle traces ``moments._cycle_traces`` at k_max 5
 and 7 (each on a fresh b-scaled copy of the gram, made outside the timed
 call), the mesh LP ``recovery.recover_distribution``, the rounding
-``recovery.quantile_vector``, the baseline ``linalg.empirical_spectrum``
-and one whole ``recovery.estimate_spectrum`` call with b the true top
-eigenvalue and the default k_max. Every stage runs once to warm up and
-then ``REPEATS`` times, the stages taking turns round by round so that a
-drift in the host's speed spreads over all of them; each records the
-median and quartiles of its times in ms.
+``recovery.quantile_vector``, the baseline ``linalg.empirical_spectrum``,
+one whole ``recovery.estimate_spectrum`` call, and one
+``recovery._estimate_and_baseline`` call (the estimate and the baseline
+together, as ``simulate`` takes them on every trial), the last two with b
+the true top eigenvalue and the default k_max. Every stage runs once to
+warm up and then ``REPEATS`` times, the stages taking turns round by round
+so that a drift in the host's speed spreads over all of them; each records
+the median and quartiles of its times in ms.
 
 Each cell also records ``estimate_moments(y, 7, b)``, its largest
 relative gap to the plain H <- G H product reference of the tests
@@ -103,6 +105,10 @@ def run_cell(family: str, d: int, n: int) -> dict:
         "recovery.quantile_vector": (nothing, lambda _: recovery.quantile_vector(dist, d)),
         "linalg.empirical_spectrum": (nothing, lambda _: linalg.empirical_spectrum(y)),
         "recovery.estimate_spectrum": (nothing, lambda _: recovery.estimate_spectrum(y, cfg)),
+        "recovery._estimate_and_baseline": (
+            nothing,
+            lambda _: recovery._estimate_and_baseline(y, cfg.k_max, b),
+        ),
     }
     times: dict[str, list[float]] = {name: [] for name in stages}
     for r in range(REPEATS + 1):
