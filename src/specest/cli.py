@@ -87,6 +87,11 @@ def build_parser() -> argparse.ArgumentParser:
         "run synthetic experiments, and build moment-matched lower-bound pairs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # simulate and estimate share --k; lower-bound's --k is the construction order.
+    k_option = dict(
+        type=_positive_int, default=RecoveryConfig.k_max,
+        help="highest moment order (default %(default)s)",
+    )
 
     sim = sub.add_parser("simulate", help="run the synthetic experiment grid")
     sim.add_argument("--family", choices=FAMILIES, required=True, help="covariance family")
@@ -100,10 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: 1/8 1/4 1/2 1 2)",
     )
     sim.add_argument("--trials", type=_positive_int, default=5, help="trials per cell (default 5)")
-    sim.add_argument(
-        "--k", type=_positive_int, default=RecoveryConfig.k_max,
-        help="highest moment order (default %(default)s)",
-    )
+    sim.add_argument("--k", **k_option)
     sim.add_argument(
         "--b", type=float, default=None,
         help="eigenvalue upper bound; default: the model's true top eigenvalue",
@@ -115,10 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     est = sub.add_parser("estimate", help="estimate a spectrum from a CSV sample matrix")
     est.add_argument("input", help="CSV file, one sample per line, no header")
-    est.add_argument(
-        "--k", type=_positive_int, default=RecoveryConfig.k_max,
-        help="highest moment order (default %(default)s)",
-    )
+    est.add_argument("--k", **k_option)
     est.add_argument(
         "--b", type=float, default=None,
         help="eigenvalue upper bound; omitted: 2x the top empirical eigenvalue "

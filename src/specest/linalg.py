@@ -23,12 +23,12 @@ class NonFiniteError(ArithmeticError):
     """A computation produced NaN or infinity."""
 
 
-def _as_matrix(a, name: str = "matrix") -> np.ndarray:
+def _as_matrix(a) -> np.ndarray:
     arr = np.asarray(a, dtype=float)
     if arr.ndim != 2:
-        raise ValueError(f"{name} must be 2-dimensional, got shape {arr.shape}")
+        raise ValueError(f"data matrix must be 2-dimensional, got shape {arr.shape}")
     if arr.shape[0] < 1 or arr.shape[1] < 1:
-        raise ValueError(f"{name} must be non-empty, got shape {arr.shape}")
+        raise ValueError(f"data matrix must be non-empty, got shape {arr.shape}")
     return arr
 
 
@@ -37,7 +37,7 @@ def _as_matrix(a, name: str = "matrix") -> np.ndarray:
 @np.errstate(over="ignore", invalid="ignore")
 def gram(y) -> np.ndarray:
     """Gram matrix of the rows of ``y``: out[i, j] = <row i, row j>."""
-    arr = _as_matrix(y, "data matrix")
+    arr = _as_matrix(y)
     if not (arr.flags.c_contiguous or arr.flags.f_contiguous):
         arr = np.ascontiguousarray(arr)
     # On one contiguous buffer, numpy computes x @ x.T as a symmetric
@@ -62,7 +62,7 @@ def empirical_spectrum(y) -> np.ndarray:
     the spectrum is padded with the d - n structural zeros. Tiny
     negative values from rounding are clamped to zero.
     """
-    arr = _as_matrix(y, "data matrix")
+    arr = _as_matrix(y)
     n, d = arr.shape
     return _gram_spectrum(gram(arr if n <= d else arr.T), n, d)
 

@@ -216,7 +216,7 @@ def estimate_moments(y, k_max: int, b: float = 1.0) -> MomentEstimate:
         entries", from ``gram``), or if the gram matrix or the cycle traces
         overflow, as a tiny b makes them.
     """
-    y = _as_matrix(y, "data matrix")
+    y = _as_matrix(y)
     n, d = y.shape
     _validate_k(n, k_max)
     if not 0 < b < math.inf:

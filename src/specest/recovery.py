@@ -20,17 +20,12 @@ from .moments import MomentEstimate, _gram_moments, _validate_k, estimate_moment
 from .wasserstein import PointMassDistribution
 
 __all__ = [
-    "MESH_CAP",
     "RecoveryConfig",
     "default_weights",
     "recover_distribution",
     "quantile_vector",
     "estimate_spectrum",
 ]
-
-# The largest number of points the recovery mesh may have; larger problems
-# get a coarser mesh.
-MESH_CAP = 4001
 
 # Moment values below this floor stop sharpening their weight; keeps
 # weights finite when an estimated moment is zero or negative.
@@ -80,15 +75,12 @@ def recover_distribution(estimate: MomentEstimate) -> PointMassDistribution:
     """Fit a mesh distribution on [0, 1] to every moment in the estimate.
 
     The moments are weighted by default_weights. The mesh is uniform with
-    step 1/max(n, d), coarsened to MESH_CAP points exactly when
-    max(n, d) >= MESH_CAP; the result's ``mesh_coarsened`` says so. Both
-    endpoints 0 and 1 are always present. The masses are the LP's, zeros
-    included, on the whole mesh.
+    step 1/max(n, d), both endpoints 0 and 1 included, at every size. The
+    masses are the LP's, zeros included, on the whole mesh.
     """
-    intervals = max(estimate.n, estimate.d)
-    mesh = np.linspace(0.0, 1.0, min(intervals, MESH_CAP - 1) + 1)
+    mesh = np.linspace(0.0, 1.0, max(estimate.n, estimate.d) + 1)
     sol = lp.solve(mesh, estimate.values, default_weights(estimate))
-    return PointMassDistribution(mesh, sol.masses, mesh_coarsened=intervals >= MESH_CAP)
+    return PointMassDistribution(mesh, sol.masses)
 
 
 def quantile_vector(dist: PointMassDistribution, d: int) -> np.ndarray:

@@ -22,13 +22,14 @@ __all__ = [
 class PointMassDistribution:
     """Nonnegative ``masses`` summing to 1 on a nondecreasing ``support``.
 
-    Zero masses and coincident support points are allowed. ``mesh_coarsened``
-    is set by ``recovery.recover_distribution`` when its mesh hit ``MESH_CAP``.
+    Zero masses and coincident support points are allowed.
     """
 
     support: np.ndarray
     masses: np.ndarray
-    mesh_coarsened: bool = False
+    # Not a field: the recovery mesh is never coarsened. bench/tracer.py is
+    # the one reader of this flag until the next benchmark change.
+    mesh_coarsened = False
 
     def __post_init__(self) -> None:
         support = np.asarray(self.support, dtype=float)

@@ -212,7 +212,7 @@ def monte_carlo_variance(
 
 def save_matrix_csv(path, y) -> None:
     """Write a matrix in the same CSV layout ``linalg.load_matrix_csv`` reads."""
-    arr = _as_matrix(y, "matrix")
+    arr = _as_matrix(y)
     with open(path, "w", encoding="utf-8") as fh:
         for row in arr:
             fh.write(",".join(repr(float(v)) for v in row))

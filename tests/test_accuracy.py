@@ -16,23 +16,29 @@ The second table follows the paper's consistency claim across d: each cell
 is the mean W1 / b of 4 draws seeded (s, d), s = 0-3, at b = the true top
 eigenvalue, for three families at n/d = 1 and 1/4 and d from 64 to 1024.
 
-``RECORDED`` and ``SWEEP_RECORDED`` hold the tables, and README.md prints
-both. A recovered mean fails when it exceeds recorded * (1 + SLACK) + FLOOR,
-and a sweep row also fails unless W1 at d = 1024 is below W1 at d = 128. The
-empirical means are a fixed function of the draws and are checked to within
-rounding. A change that lowers W1 re-records the tables: from the repository
-root,
+The third table follows the paper's sublinear claim: the mean W1 / b of 3
+draws seeded (s, d, n), s = 0-2, at b = the true top eigenvalue, for the
+four families at n = d / log2(d), rounded, and d = 256, 1024 and 4096.
+
+``RECORDED``, ``SWEEP_RECORDED`` and ``SUBLINEAR_RECORDED`` hold the tables,
+and README.md prints all three. A recovered mean fails when it exceeds
+recorded * (1 + SLACK) + FLOOR. A sweep row also fails unless W1 at
+d = 1024 is below W1 at d = 128, and a sublinear row unless W1 at d = 4096
+is below W1 at d = 256. The empirical means are a fixed function of the
+draws and are checked to within rounding. A change that lowers W1
+re-records the tables: from the repository root,
 
     PYTHONPATH=src python tests/test_accuracy.py
 
-prints them in README's layout, and its rows replace ``RECORDED``,
-``SWEEP_RECORDED`` and README's tables.
+prints them in README's layout, and its rows replace the three records and
+README's tables.
 """
 
 from __future__ import annotations
 
 import functools
 import io
+import math
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
@@ -90,6 +96,18 @@ SWEEP_RECORDED = {
 }
 
 
+# The paper's sublinear regime, n = d / log2(d) rounded: n = 32, 102, 341.
+SUBLINEAR_CELLS = tuple((d, round(d / math.log2(d))) for d in (256, 1024, 4096))
+SUBLINEAR_SEEDS = range(3)
+# family: mean W1 / b at each (d, n) of SUBLINEAR_CELLS
+SUBLINEAR_RECORDED = {
+    "uniform_spectrum": (0.1577, 0.1293, 0.1017),
+    "two_spike": (0.1842, 0.1593, 0.0492),
+    "identity": (0.0026, 0.0032, 0.0005),
+    "toeplitz": (0.1838, 0.1127, 0.1056),
+}
+
+
 @functools.cache
 def spectra() -> dict:
     """Spectrum name -> (true spectrum, sampling factor, bound b)."""
@@ -132,20 +150,30 @@ def measure(name: str, n: int) -> tuple[float, float | None, float]:
     )
 
 
+def mean_w1_over_b(family: str, d: int, n: int, seeds) -> float:
+    """Mean W1 / b of the recovered spectrum over Gaussian draws of n samples, one per seed,
+    at b = the true top eigenvalue."""
+    model = CovarianceModel(family, d)
+    truth = true_spectrum(model)
+    s, b = factor(model), float(truth[-1])
+    cfg = RecoveryConfig(b=b)
+    w = [l1_sorted(estimate_spectrum(sample(s, n, "gaussian", seed), cfg), truth) for seed in seeds]
+    return float(np.mean(w)) / (d * b)
+
+
 def measure_sweep(family: str, ratio: Fraction) -> tuple[float, ...]:
     """Mean W1 / b of the recovered spectrum at n = ratio * d, for each d of SWEEP_DS."""
-    means = []
-    for d in SWEEP_DS:
-        model = CovarianceModel(family, d)
-        truth = true_spectrum(model)
-        s, b = factor(model), float(truth[-1])
-        cfg = RecoveryConfig(b=b)
-        w = [
-            l1_sorted(estimate_spectrum(sample(s, int(ratio * d), "gaussian", (seed, d)), cfg), truth)
-            for seed in SEEDS
-        ]
-        means.append(float(np.mean(w)) / (d * b))
-    return tuple(means)
+    return tuple(
+        mean_w1_over_b(family, d, int(ratio * d), [(seed, d) for seed in SEEDS]) for d in SWEEP_DS
+    )
+
+
+def measure_sublinear(family: str) -> tuple[float, ...]:
+    """Mean W1 / b of the recovered spectrum at each (d, n) of SUBLINEAR_CELLS."""
+    return tuple(
+        mean_w1_over_b(family, d, n, [(seed, d, n) for seed in SUBLINEAR_SEEDS])
+        for d, n in SUBLINEAR_CELLS
+    )
 
 
 def markdown(table: dict) -> str:
@@ -168,6 +196,17 @@ def markdown_sweep(table: dict) -> str:
     ]
     for (family, ratio), means in table.items():
         lines.append(f"| {family} | {ratio} | " + " | ".join(f"{w:.4f}" for w in means) + " |")
+    return "\n".join(lines) + "\n"
+
+
+def markdown_sublinear(table: dict) -> str:
+    """The sublinear table in README's layout."""
+    lines = [
+        "| family | " + " | ".join(f"d={d}, n={n}" for d, n in SUBLINEAR_CELLS) + " |",
+        "|---|" + "---|" * len(SUBLINEAR_CELLS),
+    ]
+    for family, means in table.items():
+        lines.append(f"| {family} | " + " | ".join(f"{w:.4f}" for w in means) + " |")
     return "\n".join(lines) + "\n"
 
 
@@ -196,12 +235,22 @@ def test_sweep_within_record_and_falling_in_d(family, ratio):
     assert by_d[1024] < by_d[128]
 
 
+@pytest.mark.parametrize("family", SUBLINEAR_RECORDED)
+def test_sublinear_within_record_and_falling_in_d(family):
+    means = measure_sublinear(family)
+    for (d, n), w, recorded in zip(SUBLINEAR_CELLS, means, SUBLINEAR_RECORDED[family]):
+        assert_within_record(w, recorded, f"d = {d}, n = {n}")
+    assert means[-1] < means[0]
+
+
 def test_readme_prints_the_table():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     assert markdown(RECORDED) in readme
     assert markdown_sweep(SWEEP_RECORDED) in readme
+    assert markdown_sublinear(SUBLINEAR_RECORDED) in readme
 
 
 if __name__ == "__main__":
     print(markdown({row: measure(*row) for row in RECORDED}))
-    print(markdown_sweep({row: measure_sweep(*row) for row in SWEEP_RECORDED}), end="")
+    print(markdown_sweep({row: measure_sweep(*row) for row in SWEEP_RECORDED}))
+    print(markdown_sublinear({f: measure_sublinear(f) for f in SUBLINEAR_RECORDED}), end="")

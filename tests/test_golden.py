@@ -2,7 +2,7 @@
 
 The `lower-bound` JSON and CSV reports for every even k from 4 to 40,
 `estimate_spectrum` at the default `RecoveryConfig` on three fixed draws
-and at k_max = 7 on the one shape whose mesh hits ``MESH_CAP``, one small
+and at k_max = 7 on the benchmark's wide d = 4096 draw, one small
 draw of each entry law and two small `simulate` runs are hashed and
 compared with ``golden_digests.json``.
 Each `simulate` run gives two digests. Its portable part covers the exit
@@ -60,9 +60,9 @@ ESTIMATE_CASES = [
     ("toeplitz", 128, 512, 2),
     ("uniform_spectrum", 512, 64, 3),
 ]
-# (family, d, n, seed, k_max): the benchmark's wide cell, the one shape here
-# whose mesh of max(n, d) + 1 points would pass MESH_CAP.
-CAPPED_CASES = [("two_spike", 4096, 256, 4, 7)]
+# (family, d, n, seed, k_max): the benchmark's wide cell, on a mesh of
+# max(n, d) + 1 = 4097 points.
+WIDE_CASES = [("two_spike", 4096, 256, 4, 7)]
 # (family, d, n, seed): the raw stream of every entry law, each scaled by a
 # diagonal factor.
 DRAW_CASES = [("uniform_spectrum", 64, 16, 7)]
@@ -132,7 +132,7 @@ CASES = {
     **{
         f"estimate_spectrum {f} d={d} n={n} seed={seed} k_max={k}":
         partial(_estimate, f, d, n, seed, k)
-        for f, d, n, seed, k in CAPPED_CASES
+        for f, d, n, seed, k in WIDE_CASES
     },
     **{
         f"sample {f} d={d} n={n} {kind} seed={seed}": partial(_sample, f, d, n, kind, seed)

@@ -1,7 +1,7 @@
 """Tests for the moments -> mesh LP -> quantiles recovery pipeline.
 
-Quantile extraction is checked against an independent linear CDF scan,
-and the LP stage against exact-moment feed-through: when the target
+Quantile extraction is checked against an independent linear CDF scan
+and its W1 bound, and the LP stage against exact-moment feed-through: when the target
 moments come from a distribution that lives on the mesh, the pipeline
 must hand it back.
 """
@@ -14,7 +14,6 @@ from specest.linalg import empirical_spectrum
 from specest.lp import solve
 from specest.moments import MomentEstimate, estimate_moments
 from specest.recovery import (
-    MESH_CAP,
     WEIGHT_FLOOR,
     RecoveryConfig,
     _estimate_and_baseline,
@@ -25,6 +24,8 @@ from specest.recovery import (
 )
 from specest.synth import CovarianceModel, factor, sample, true_spectrum
 from specest.wasserstein import PointMassDistribution, l1_sorted, w1
+
+from helpers import from_sorted_vector
 
 
 def lp_solution(est):
@@ -47,7 +48,6 @@ class TestRecoveryConfig:
     def test_defaults(self):
         cfg = RecoveryConfig(b=2.0)
         assert cfg.k_max == 5
-        assert MESH_CAP == 4001
 
     def test_rejects_bad_b(self):
         with pytest.raises(ValueError):
@@ -130,29 +130,26 @@ class TestRecoverDistribution:
             dist = PointMassDistribution(mesh_points, sol.masses)
             assert w1(dist, truth) <= 3.0 / 64
 
-    # The mesh has max(n, d) + 1 points, both endpoints included, up to
-    # MESH_CAP; from max(n, d) = MESH_CAP on it is coarsened to MESH_CAP
-    # points and flagged. One moment value, so that n = d = 1 is allowed.
+    # The mesh is linspace(0, 1, max(n, d) + 1) at every size: around 4001
+    # points and at 65,537. One moment value, so that n = d = 1 is allowed.
     @pytest.mark.parametrize(
-        "n, d, coarsened",
-        [(size, size, False) for size in (1, 2, 3, 14, 49, 100, 4000)]
-        + [
-            (4096, 4096, True),
-            (64, MESH_CAP - 1, False),
-            (MESH_CAP - 1, 64, False),
-            (64, MESH_CAP, True),
-            (MESH_CAP, 64, True),
-            (256, 4096, True),
-        ],
+        "n, d",
+        [(size, size) for size in (1, 2, 3, 14, 49, 100, 4000, 4096)]
+        + [(64, 4000), (4000, 64), (64, 4001), (4001, 64), (256, 4096), (64, 65_536)],
     )
-    def test_flags_a_coarsened_mesh(self, n, d, coarsened):
+    def test_mesh_step_is_one_over_max_n_d(self, n, d):
         dist = recover_distribution(MomentEstimate(values=[0.5], n=n, d=d))
-        assert dist.mesh_coarsened is coarsened
-        points = MESH_CAP if coarsened else max(n, d) + 1
-        assert dist.support.size == points
-        assert dist.support[0] == 0.0
-        assert dist.support[-1] == 1.0
-        np.testing.assert_allclose(np.diff(dist.support), 1.0 / (points - 1), rtol=1e-9)
+        np.testing.assert_array_equal(dist.support, np.linspace(0, 1, max(n, d) + 1))
+
+    def test_full_mesh_solves_a_real_wide_estimate(self):
+        # the wide benchmark cell's moments fitted on 65,537 mesh points,
+        # 16 times the mesh its own max(n, d) gives
+        model = CovarianceModel("two_spike", 4096)
+        y = sample(factor(model), 256, "gaussian", seed=4)
+        est = estimate_moments(y, RecoveryConfig.k_max, float(true_spectrum(model)[-1]))
+        sol = solve(np.linspace(0, 1, 65_537), est.values, default_weights(est))
+        assert sol.status == "optimal"
+        assert sol.masses.sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_zero_masses_leave_w1_unchanged(self):
         # the two_spike fit leaves most of its 1025 mesh points at zero mass
@@ -196,8 +193,46 @@ class TestQuantileVector:
         np.testing.assert_array_equal(quantile_vector(dist, 3), [0.7, 0.7, 0.7])
 
     def test_half_half(self):
-        dist = PointMassDistribution([0.0, 1.0], [0.5, 0.5])
-        np.testing.assert_array_equal(quantile_vector(dist, 2), [0.0, 1.0])
+        # the same law with and without a split atom at 1: levels 1/3 and
+        # 2/3 land on either side of the CDF jump at 0
+        for dist in (
+            PointMassDistribution([0.0, 1.0], [0.5, 0.5]),
+            PointMassDistribution([0.0, 1.0, 1.0], [0.5, 0.25, 0.25]),
+        ):
+            np.testing.assert_array_equal(quantile_vector(dist, 2), [0.0, 1.0])
+
+    def test_w1_error_at_most_range_over_d(self):
+        rng = np.random.default_rng(25)
+        for _ in range(200):
+            size = int(rng.integers(1, 9))
+            support = np.sort(rng.uniform(0.0, 3.0, size))
+            masses = rng.uniform(0.1, 1.0, size)
+            dist = PointMassDistribution(support, masses / masses.sum())
+            span = support[-1] - support[0]
+            for d in (1, 2, 10, 100):
+                rounded = from_sorted_vector(quantile_vector(dist, d))
+                assert w1(dist, rounded) <= span / d + 1e-12
+
+    def test_locations_drawn_from_support(self):
+        dist = PointMassDistribution([0.1, 0.5, 0.9], [0.2, 0.5, 0.3])
+        assert set(quantile_vector(dist, 7)) <= {0.1, 0.5, 0.9}
+
+    def test_zero_mass_mesh_points_never_picked(self):
+        # the quantiles of the atoms alone equal those of the whole mesh,
+        # zero-mass points included
+        rng = np.random.default_rng(26)
+        for _ in range(300):
+            size = int(rng.integers(1, 20))
+            mesh = np.linspace(0.0, 1.0, size)
+            masses = rng.uniform(0.01, 1.0, size)
+            masses[rng.random(size) < 0.5] = 0.0
+            masses[rng.integers(size)] = 1.0
+            masses /= masses.sum()
+            atoms = masses > 0
+            p = PointMassDistribution(mesh[atoms], masses[atoms])
+            dist = PointMassDistribution(mesh, masses)
+            for d in (1, 2, 7, 100):
+                np.testing.assert_array_equal(quantile_vector(p, d), quantile_vector(dist, d))
 
     def test_matches_scan_oracle_on_uniform_grid(self):
         support = np.linspace(0.0, 1.0, 11)
@@ -264,17 +299,13 @@ class TestEstimateSpectrum:
         b = estimate_spectrum(y, RecoveryConfig(b=2.0))
         np.testing.assert_array_equal(a, b)
 
-    @pytest.mark.parametrize(
-        "family, d, n, coarsened",
-        [("two_spike", 4096, 256, True), ("toeplitz", 256, 512, False)],
-    )
-    def test_documented_pieces_compose_to_the_pipeline(self, family, d, n, coarsened):
+    @pytest.mark.parametrize("family, d, n", [("two_spike", 4096, 256), ("toeplitz", 256, 512)])
+    def test_documented_pieces_compose_to_the_pipeline(self, family, d, n):
         # the README's call form for reaching the recovered distribution
         model = CovarianceModel(family, d)
         y = sample(factor(model), n, "gaussian", seed=10)
         cfg = RecoveryConfig(b=float(true_spectrum(model)[-1]))
         dist = recover_distribution(estimate_moments(y, cfg.k_max, cfg.b))
-        assert dist.mesh_coarsened is coarsened
         np.testing.assert_array_equal(quantile_vector(dist, d) * cfg.b, estimate_spectrum(y, cfg))
 
     def test_scale_consistency_on_identity_data(self):

@@ -1,6 +1,7 @@
-"""Tests for W1 distance and quantile rounding.
+"""Tests for the point-mass record and the W1 distance.
 
-The sweep-based W1 is cross-checked against a transport LP solved with
+Quantile rounding is tested with ``recovery.quantile_vector`` in
+test_recovery.py. The sweep-based W1 is cross-checked against a transport LP solved with
 scipy on small instances, so the two computations share no code.
 """
 
@@ -177,56 +178,3 @@ class TestL1Sorted:
     def test_rejects_non_finite(self, a, b):
         with pytest.raises(ValueError, match="finite"):
             l1_sorted(a, b)
-
-
-def rounded(p, d):
-    """p rounded to d equal masses at its quantile_vector."""
-    return from_sorted_vector(quantile_vector(p, d))
-
-
-class TestQuantize:
-    def test_point_mass_stays_put(self):
-        p = PointMassDistribution([0.37], [1.0])
-        q = rounded(p, 5)
-        np.testing.assert_array_equal(q.support, np.full(5, 0.37))
-        np.testing.assert_allclose(q.masses, np.full(5, 0.2))
-
-    def test_half_half_d2(self):
-        # the same law with and without a split atom at 1
-        for p in (
-            PointMassDistribution([0.0, 1.0], [0.5, 0.5]),
-            PointMassDistribution([0.0, 1.0, 1.0], [0.5, 0.25, 0.25]),
-        ):
-            q = rounded(p, 2)
-            # levels 1/3 and 2/3 land on either side of the CDF jump at 0
-            np.testing.assert_array_equal(q.support, [0.0, 1.0])
-
-    def test_error_at_most_range_over_d(self):
-        rng = np.random.default_rng(25)
-        for _ in range(200):
-            p = random_distribution(rng, max_atoms=8, lo=0.0, hi=3.0)
-            span = p.support.max() - p.support.min()
-            for d in (1, 2, 10, 100):
-                assert w1(p, rounded(p, d)) <= span / d + 1e-12
-
-    def test_locations_drawn_from_support(self):
-        p = PointMassDistribution([0.1, 0.5, 0.9], [0.2, 0.5, 0.3])
-        q = rounded(p, 7)
-        assert set(q.support) <= {0.1, 0.5, 0.9}
-
-    def test_zero_mass_mesh_points_never_picked(self):
-        # the quantiles of the atoms alone equal those of the whole mesh,
-        # zero-mass points included
-        rng = np.random.default_rng(26)
-        for _ in range(300):
-            size = int(rng.integers(1, 20))
-            mesh = np.linspace(0.0, 1.0, size)
-            masses = rng.uniform(0.01, 1.0, size)
-            masses[rng.random(size) < 0.5] = 0.0
-            masses[rng.integers(size)] = 1.0
-            masses /= masses.sum()
-            atoms = masses > 0
-            p = PointMassDistribution(mesh[atoms], masses[atoms])
-            dist = PointMassDistribution(mesh, masses)
-            for d in (1, 2, 7, 100):
-                np.testing.assert_array_equal(quantile_vector(p, d), quantile_vector(dist, d))
